@@ -130,8 +130,13 @@ class SnappyLikeCodec:
                 if distance <= 0 or distance > len(out):
                     raise EncodingError("invalid back-reference")
                 start = len(out) - distance
-                for index in range(size):
-                    out.append(out[start + index])
+                if distance >= size:
+                    out.extend(out[start:start + size])
+                else:
+                    # The copy overlaps its own output: the last ``distance``
+                    # bytes repeat until ``size`` bytes have been produced.
+                    pattern = bytes(out[start:])
+                    out.extend((pattern * (size // distance + 1))[:size])
             else:
                 end = position + size
                 if end > len(data):

@@ -172,7 +172,7 @@ class WireClient:
     def statement(
         self,
         text: str,
-        executor: str = "codegen",
+        executor: Optional[str] = None,
         mode: str = "full",
         pushdown: bool = True,
         batch_size: Optional[int] = None,
@@ -181,13 +181,15 @@ class WireClient:
         query_id: Optional[str] = None,
         on_notice: Optional[Callable[[str], None]] = None,
     ) -> StatementResult:
+        """Run one statement; ``executor=None`` leaves the choice to the server."""
         payload = {
             "op": "statement",
             "text": text,
-            "executor": executor,
             "mode": mode,
             "pushdown": pushdown,
         }
+        if executor is not None:
+            payload["executor"] = executor
         if explain:
             payload["explain"] = True
         if trace:
@@ -198,10 +200,11 @@ class WireClient:
             payload["batch_size"] = batch_size
         return self.request(payload, on_notice=on_notice)
 
-    def explain(self, text: str, executor: str = "codegen") -> str:
-        return self.request({"op": "explain", "text": text, "executor": executor}).done[
-            "text"
-        ]
+    def explain(self, text: str, executor: Optional[str] = None) -> str:
+        payload = {"op": "explain", "text": text}
+        if executor is not None:
+            payload["executor"] = executor
+        return self.request(payload).done["text"]
 
     def create_dataset(
         self,

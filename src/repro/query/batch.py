@@ -13,11 +13,16 @@ operator's output) stored column-wise:
 
 A batch from a columnar direct scan carries only path columns — no document
 is ever assembled — so materializing row dicts from it is a contract
-violation, guarded by :meth:`iter_rows`.  Field access resolves through
-:meth:`path_values`: an exact path column wins, then the longest prefix path
-column (descending the remainder with ``get_path``), then the variable's
-document column.  Each fallback reproduces the scalar
-:meth:`~repro.query.expressions.Field.evaluate` semantics exactly.
+violation, guarded by :meth:`iter_rows`.  When that scan also performed the
+plan's pushed UNNEST (:class:`~repro.query.pushdown.UnnestBinding`), the batch
+is marked ``unnested``: its rows are array elements, the unnest variable is
+bound by its own (path) columns, and the executors skip the UNNEST operator
+for it — a row-backed batch of the same scan still runs it.
+
+Field access resolves through :meth:`path_values`: an exact path column wins,
+then the longest prefix path column (descending the remainder with
+``get_path``), then the variable's document column.  Each fallback reproduces
+the scalar :meth:`~repro.query.expressions.Field.evaluate` semantics exactly.
 """
 
 from __future__ import annotations
@@ -32,15 +37,17 @@ from ..model.values import MISSING
 class ColumnBatch:
     """A fixed-length, column-wise slice of rows."""
 
-    __slots__ = ("length", "vars", "paths")
+    __slots__ = ("length", "vars", "paths", "unnested")
 
     def __init__(
         self,
         length: int,
         vars: Optional[Dict[str, list]] = None,
         paths: Optional[Dict[Tuple[str, FieldPath], list]] = None,
+        unnested: bool = False,
     ) -> None:
         self.length = length
+        self.unnested = unnested
         self.vars: Dict[str, list] = vars if vars is not None else {}
         self.paths: Dict[Tuple[str, FieldPath], list] = (
             paths if paths is not None else {}
@@ -121,7 +128,7 @@ class ColumnBatch:
         """A batch with one variable column added/replaced (columns shared)."""
         vars = dict(self.vars)
         vars[name] = column
-        return ColumnBatch(self.length, vars, self.paths)
+        return ColumnBatch(self.length, vars, self.paths, self.unnested)
 
     def take(
         self,
@@ -143,4 +150,4 @@ class ColumnBatch:
             key: [column[index] for index in indices]
             for key, column in self.paths.items()
         }
-        return ColumnBatch(len(indices), vars, paths)
+        return ColumnBatch(len(indices), vars, paths, self.unnested)

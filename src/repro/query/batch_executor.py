@@ -6,10 +6,17 @@ instead of rows.  The source comes in two flavours:
 * **direct** — for columnar components, each leaf group's pruned column
   streams are turned straight into per-record value vectors (no document is
   ever assembled), with the pushed predicates and the anti-matter flags
-  folded into one selection before the batch is even built.  Direct scans are
-  only taken when they are provably equivalent to the reconciled row scan:
-  the partition's memtables must be empty, every component must be columnar
-  with the pruned paths flat in its schema
+  folded into one selection before the batch is even built.  When the plan's
+  only UNNEST walks a single-level array nothing else consumes
+  (:class:`~repro.query.pushdown.UnnestBinding`), the scan performs it too:
+  the array's definition levels give per-record element counts, the element
+  paths become per-*element* value vectors keyed by the unnest variable, and
+  the record vectors are fanned out by a row-index vector — such batches are
+  marked ``unnested`` and both batch executors skip the operator for them.
+  Direct scans are only taken when they are provably equivalent to the
+  reconciled row scan: the partition's memtables must be empty, every
+  component must be columnar with the pruned paths flat — or, for the
+  unnested array, singly repeated and union-free — in its schema
   (:func:`~repro.query.pushdown.schema_supports_direct`), and the components'
   key ranges must be pairwise disjoint — then concatenating them in
   ``min_key`` order replays exactly the k-way merge's key order with no
@@ -72,7 +79,7 @@ from .plan import (
     UnnestNode,
     collect_expressions,
 )
-from .pushdown import compile_predicates, schema_supports_direct
+from .pushdown import compile_predicates, schema_supports_direct, unnest_columns
 
 #: Expression types the direct (assembly-free) path can evaluate over path
 #: columns.  SomeSatisfies re-binds rows internally, so it forces row batches.
@@ -129,25 +136,30 @@ def plan_supports_direct(plan: QueryPlan) -> bool:
     )
 
 
-def _direct_components(snapshot, spec) -> Optional[List[ColumnarComponent]]:
-    """The snapshot's components in key order, or None when direct is unsafe.
+def _direct_components(
+    snapshot, spec
+) -> Tuple[Optional[List[ColumnarComponent]], Optional[str]]:
+    """``(components in key order, None)``, or ``(None, reason)`` when unsafe.
 
     Direct scans bypass the k-way newest-wins merge, which is only sound when
     there is nothing to reconcile: no in-memory entries and no key present in
     two components.  Pairwise-disjoint metadata key ranges (anti-matter keys
     included — they count toward a component's min/max) guarantee the latter,
     and then ``min_key`` order reproduces the merge's ascending key order.
+    The reason names the first gate that failed: ``memtable``, ``layout`` (a
+    row-major component), ``schema`` (a pruned path the column streams cannot
+    serve exactly) or ``overlap``.
     """
     for source in snapshot.memtable_sources:
         entries = source if isinstance(source, list) else source.entries
         if entries:
-            return None
+            return None, "memtable"
     spans: List[Tuple[object, object, ColumnarComponent]] = []
     for component in snapshot.components:
         if not isinstance(component, ColumnarComponent):
-            return None
-        if not schema_supports_direct(component.schema, spec.paths):
-            return None
+            return None, "layout"
+        if not schema_supports_direct(component.schema, spec.paths, spec.unnest):
+            return None, "schema"
         metadata = component.metadata
         if metadata.record_count == 0 or metadata.min_key is None:
             continue
@@ -156,10 +168,10 @@ def _direct_components(snapshot, spec) -> Optional[List[ColumnarComponent]]:
         spans.sort(key=lambda span: span[0])
         for (_, high, _), (low, _, _) in zip(spans, spans[1:]):
             if not high < low:
-                return None
+                return None, "overlap"
     except TypeError:
-        return None  # cross-type keys: ranges are inconclusive
-    return [component for _, _, component in spans]
+        return None, "overlap"  # cross-type keys: ranges are inconclusive
+    return [component for _, _, component in spans], None
 
 
 # ======================================================================================
@@ -175,16 +187,25 @@ def partition_batches(
     spec,
     batch_size: int,
     allow_direct: bool,
+    fallbacks: Optional[List[str]] = None,
 ) -> Iterator[ColumnBatch]:
-    """Batches for one partition; takes ownership of the pinned snapshot."""
+    """Batches for one partition; takes ownership of the pinned snapshot.
+
+    A partition that cannot go direct appends the reason to ``fallbacks``.
+    """
     components = None
+    reason = "plan"
     if allow_direct and spec is not None and spec.paths is not None:
-        components = _direct_components(snapshot, spec)
-    if components is None:
-        # Reconciled row scan (closes the snapshot itself), batched row-wise.
-        rows = tree._scan_snapshot(snapshot, fields, spec)
-        return _row_batches(rows, variable, batch_size)
-    return _direct_partition_batches(snapshot, components, spec, variable, batch_size)
+        components, reason = _direct_components(snapshot, spec)
+    if components is not None:
+        return _direct_partition_batches(
+            snapshot, components, spec, variable, batch_size
+        )
+    if fallbacks is not None:
+        fallbacks.append(reason)
+    # Reconciled row scan (closes the snapshot itself), batched row-wise.
+    rows = tree._scan_snapshot(snapshot, fields, spec)
+    return _row_batches(rows, variable, batch_size)
 
 
 def _row_batches(
@@ -200,6 +221,17 @@ def _row_batches(
         yield ColumnBatch(len(documents), {variable: documents})
 
 
+def unnest_batch(batch: ColumnBatch, variable: str, arrays: list) -> ColumnBatch:
+    """UNNEST: one output row per element of each row's array (non-arrays drop)."""
+    indices: List[int] = []
+    items: list = []
+    for row_index, value in enumerate(arrays):
+        if isinstance(value, (list, tuple)):
+            indices.extend([row_index] * len(value))
+            items.extend(value)
+    return batch.take(indices, extra_vars={variable: items})
+
+
 def _direct_partition_batches(
     snapshot, components, spec, variable: str, batch_size: int
 ) -> Iterator[ColumnBatch]:
@@ -213,20 +245,41 @@ def _direct_partition_batches(
 def _component_batches(
     component: ColumnarComponent, spec, variable: str, batch_size: int
 ) -> Iterator[ColumnBatch]:
+    """Assembly-free batches of one component, already unnested (and marked
+    so) when the spec carries an unnest binding.
+
+    Record paths become one value per record (:func:`_path_vector`); with a
+    binding, element paths become one value per array element
+    (:func:`_element_vector`) and the record paths are fanned out to the
+    elements by a row-index vector.  Pushed predicates, anti-matter and the
+    fan-out all end up in the same two selections — ``rows`` into the record
+    vectors, ``elements`` into the element vectors — applied by one gather.
+    """
     schema = component.schema
     compiled = (
         compile_predicates(schema, spec.predicates) if spec.predicates else []
     )
-    steps_of = {
-        path: tuple(path.steps) for path in spec.paths
-    }
+    unnest = spec.unnest
+    anchor = counted = None
+    element_columns: Dict[FieldPath, Optional[object]] = {}
+    if unnest is not None:
+        anchor, element_columns = unnest_columns(schema, unnest)
+        if anchor is None:
+            return  # the array occurs in no record of this component
+        # Element counts come from a column the plan reads anyway when it
+        # reads one; the anchor is only fetched where that column is unsure.
+        counted = next(
+            (column for column in element_columns.values() if column is not None),
+            anchor,
+        )
     value_columns: Dict[FieldPath, list] = {
         path: [
             column
             for column in schema.columns
-            if field_name_steps(column.path) == steps
+            if field_name_steps(column.path) == tuple(path.steps)
         ]
-        for path, steps in steps_of.items()
+        for path in spec.paths
+        if unnest is None or path != unnest.array
     }
     pk_column = schema.pk_column
     needs_keys = any(
@@ -234,6 +287,16 @@ def _component_batches(
         for columns in value_columns.values()
         for column in columns
     )
+    needed: Dict[int, object] = {}
+    for cp in compiled:
+        for column in cp.columns:
+            needed[column.column_id] = column
+    for columns in value_columns.values():
+        for column in columns:
+            needed[column.column_id] = column
+    for column in (counted, *element_columns.values()):
+        if column is not None:
+            needed[column.column_id] = column
     for group in component.groups:
         record_count = group.record_count
         if record_count == 0:
@@ -242,16 +305,10 @@ def _component_batches(
             continue  # min/max pruning: nothing decoded, not even the keys
         antimatter_count = getattr(group, "antimatter_count", None)
         needs_flags = antimatter_count is None or antimatter_count > 0
-        needed: Dict[int, object] = {}
-        for cp in compiled:
-            for column in cp.columns:
-                needed[column.column_id] = column
-        for columns in value_columns.values():
-            for column in columns:
-                needed[column.column_id] = column
+        wanted = list(needed.values())
         if (needs_flags or needs_keys) and pk_column.column_id not in needed:
-            needed[pk_column.column_id] = pk_column
-        streams = group.read_columns(list(needed.values())) if needed else {}
+            wanted.append(pk_column)
+        streams = group.read_columns(wanted) if wanted else {}
         keys: Optional[list] = None
         flags: Optional[List[bool]] = None
         if pk_column.column_id in streams:
@@ -266,31 +323,68 @@ def _component_batches(
                 if passes is None
                 else [a and b for a, b in zip(passes, vector)]
             )
-        if passes is None and flags is None:
-            selection: Optional[List[int]] = None
-            selected_count = record_count
-        else:
-            selection = [
+        # ``rows``: the record index behind each output row (None = identity).
+        rows: Optional[List[int]] = None
+        if passes is not None or flags is not None:
+            rows = [
                 index
                 for index in range(record_count)
                 if (passes is None or passes[index])
                 and (flags is None or not flags[index])
             ]
-            selected_count = len(selection)
-            if not selected_count:
-                continue
+        # ``elements``: the element index behind each output row (None = all).
+        elements: Optional[List[int]] = None
+        counts: List[int] = []
+        if counted is not None:
+            counts, absent = _element_counts(streams[counted.column_id][0], counted)
+            if counted is not anchor and any(
+                flags is None or not flags[index] for index in absent
+            ):
+                # A live record reads "no array" in this column: either it
+                # has none, or the column was inferred mid-flush and
+                # back-filled over it (§3.2.2).  Only the anchor can tell.
+                streams.update(group.read_columns([anchor]))
+                counts, _ = _element_counts(streams[anchor.column_id][0], anchor)
+            element_rows = [
+                index for index, count in enumerate(counts) for _ in range(count)
+            ]
+            if rows is not None:
+                keep = bytearray(record_count)
+                for index in rows:
+                    keep[index] = 1
+                elements = [
+                    position
+                    for position, index in enumerate(element_rows)
+                    if keep[index]
+                ]
+                rows = kernels.gather(element_rows, elements)
+            else:
+                rows = element_rows
+        output_count = record_count if rows is None else len(rows)
+        if not output_count:
+            continue
         columns_data: Dict[Tuple[str, FieldPath], list] = {}
         for path, columns in value_columns.items():
             vector = _path_vector(columns, streams, keys, record_count)
-            if selection is not None:
-                vector = kernels.gather(vector, selection)
-            columns_data[(variable, path)] = vector
-        for start in range(0, selected_count, batch_size):
-            end = min(start + batch_size, selected_count)
+            columns_data[(variable, path)] = (
+                vector if rows is None else kernels.gather(vector, rows)
+            )
+        variables_data: Dict[str, list] = {}
+        for path, column in element_columns.items():
+            vector = _element_vector(column, streams, counts)
+            if elements is not None:
+                vector = kernels.gather(vector, elements)
+            if len(path) == 0:
+                variables_data[unnest.variable] = vector
+            else:
+                columns_data[(unnest.variable, path)] = vector
+        for start in range(0, output_count, batch_size):
+            end = min(start + batch_size, output_count)
             yield ColumnBatch(
                 end - start,
-                {},
+                {name: column[start:end] for name, column in variables_data.items()},
                 {key: column[start:end] for key, column in columns_data.items()},
+                unnested=unnest is not None,
             )
 
 
@@ -310,24 +404,94 @@ def _path_vector(columns, streams, keys, record_count: int) -> list:
                 vector[index] = keys[index]
             continue
         defs, values = streams[column.column_id]
-        max_def = column.max_def
-        if column.type_tag == TYPE_NULL:
-            for index, definition_level in enumerate(defs):
-                if definition_level == max_def:
-                    vector[index] = None
-        else:
-            value_index = 0
-            for index, definition_level in enumerate(defs):
-                if definition_level == max_def:
-                    vector[index] = values[value_index]
-                    value_index += 1
+        _place_values(column, defs, values, vector)
     return vector
 
 
+def _place_values(column, defs, values, vector: list) -> None:
+    """Write a column's present values into ``vector``, one slot per entry of
+    ``defs`` (entries below ``max_def`` keep whatever the slot held)."""
+    max_def = column.max_def
+    if column.type_tag == TYPE_NULL:
+        for index, definition_level in enumerate(defs):
+            if definition_level == max_def:
+                vector[index] = None
+    else:
+        value_index = 0
+        for index, definition_level in enumerate(defs):
+            if definition_level == max_def:
+                vector[index] = values[value_index]
+                value_index += 1
+
+
+def _element_counts(defs, column) -> Tuple[List[int], List[int]]:
+    """Per-record element counts of a column under a single-level array, and
+    the indices of the records that show no array at all.
+
+    The delimiter rule of :meth:`~repro.core.columns.ColumnCursor.next_record`,
+    specialised to ``array_count == 1``: a record whose first entry lies below
+    the array's level has no array and contributes that single entry;
+    otherwise its entries run up to the record-end delimiter (the next
+    definition level 0 — element entries all lie above the array's level),
+    and a first entry *at* the array's level marks an empty array.
+    """
+    array_level = column.outer_array_level
+    counts: List[int] = []
+    absent: List[int] = []
+    position = 0
+    end = len(defs)
+    while position < end:
+        first = defs[position]
+        if first < array_level:
+            absent.append(len(counts))
+            counts.append(0)
+            position += 1
+        else:
+            stop = defs.index(0, position + 1)
+            counts.append(stop - position if first > array_level else 0)
+            position = stop + 1
+    return counts, absent
+
+
+def _element_vector(column, streams, counts: List[int]) -> list:
+    """One value per array element for an element path (the repeated sibling
+    of :func:`_path_vector`); ``counts`` are the exact per-record counts."""
+    total = sum(counts)
+    if column is None:
+        return [MISSING] * total
+    defs, values = streams[column.column_id]
+    if column.type_tag != TYPE_NULL and len(values) == total:
+        return list(values)  # every element present: the value stream itself
+    array_level = column.outer_array_level
+    element_defs = [level for level in defs if level > array_level]
+    vector = [MISSING] * len(element_defs)
+    _place_values(column, element_defs, values, vector)
+    if len(vector) == total:
+        return vector
+    # The column was inferred mid-flush: its back-filled records read "no
+    # array" where the anchor counted elements, and those elements lack it.
+    aligned: list = []
+    position = 0
+    for count, own in zip(counts, _element_counts(defs, column)[0]):
+        if own == count:
+            aligned.extend(vector[position:position + count])
+        else:
+            aligned.extend([MISSING] * count)
+        position += own
+    return aligned
+
+
 def source_batches(
-    store, plan: QueryPlan, batch_size: int = DEFAULT_BATCH_SIZE
+    store,
+    plan: QueryPlan,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+    fallbacks: Optional[List[str]] = None,
 ) -> Iterator[ColumnBatch]:
-    """The plan's source as column batches (direct where provably safe)."""
+    """The plan's source as column batches (direct where provably safe).
+
+    ``fallbacks`` collects, per partition that took the reconciling scan, the
+    reason why.
+    """
     source = plan.source
     if isinstance(source, DataScanNode):
         dataset = store.dataset(source.dataset)
@@ -342,6 +506,7 @@ def source_batches(
             batch_size=batch_size,
             direct=plan_supports_direct(plan),
             executor=pool if (use_parallel and pool is not None) else None,
+            fallbacks=fallbacks,
         )
     return _binding_batches(source_rows(store, plan), batch_size)
 
@@ -363,12 +528,13 @@ def _binding_batches(rows: Iterable[dict], batch_size: int) -> Iterator[ColumnBa
 
 
 def run_batch_pipeline(
-    batches: Iterable[ColumnBatch], pipeline: List
+    batches: Iterable[ColumnBatch], pipeline: List, pushed=None
 ) -> Iterator[ColumnBatch]:
     """Apply ASSIGN/UNNEST/FILTER vector-at-a-time, batch by batch.
 
     When a trace is active, one span per pipeline operator (rows out and
-    cumulative operator time) is recorded as the generator finishes.
+    cumulative operator time) is recorded as the generator finishes;
+    ``pushed`` is the UNNEST the scan performed on every batch, if any.
     """
     tracing = current_trace() is not None
     counts = [0] * len(pipeline)
@@ -379,7 +545,12 @@ def run_batch_pipeline(
     finally:
         if tracing:
             for op, rows_out, seconds in zip(pipeline, counts, elapsed):
-                record_span(op_span_name(op), seconds, rows_out=rows_out)
+                record_span(
+                    op_span_name(op),
+                    seconds,
+                    rows_out=rows_out,
+                    **_pushed_attr(op, pushed),
+                )
 
 
 def _run_batch_pipeline(
@@ -404,19 +575,14 @@ def _run_batch_pipeline(
                     op.variable, op.expression.evaluate_batch(batch)
                 )
             elif isinstance(op, UnnestNode):
-                vector = op.expression.evaluate_batch(batch)
-                indices: List[int] = []
-                items: list = []
-                for row_index, value in enumerate(vector):
-                    if isinstance(value, (list, tuple)):
-                        for item in value:
-                            indices.append(row_index)
-                            items.append(item)
-                batch = batch.take(indices, extra_vars={op.variable: items})
+                if not batch.unnested:  # else the direct scan already did
+                    batch = unnest_batch(
+                        batch, op.variable, op.expression.evaluate_batch(batch)
+                    )
             elif isinstance(op, JoinNode):
                 vector = op.probe_key.evaluate_batch(batch)
-                indices = []
-                items = []
+                indices: List[int] = []
+                items: list = []
                 for row_index, value in enumerate(vector):
                     key = join_key(value)
                     matches = op.table.get(key) if key is not None else None
@@ -557,10 +723,24 @@ def run_batch_plan(
     (:func:`repro.query.codegen.run_generated_batches`).
     """
     size = batch_size or DEFAULT_BATCH_SIZE
-    batches = source_batches(store, plan, size)
+    fallbacks: List[str] = []
+    batches = source_batches(store, plan, size, fallbacks)
     tracing = current_trace() is not None
+    pushed = None
     if tracing:
-        batches = traced_batch_source(batches, plan.source)
+        attrs = {}
+        if isinstance(plan.source, DataScanNode):
+            # Snapshots are pinned (and each partition's path chosen) by the
+            # time source_batches returns, so the verdict is already in.
+            attrs["scan_mode"] = "reconciled" if fallbacks else "direct"
+            if fallbacks:
+                attrs["fallback_reason"] = fallbacks[0]
+            elif getattr(plan.source.pushdown, "unnest", None) is not None:
+                # Every partition went direct, so the scan did the UNNEST.
+                pushed = next(
+                    op for op in plan.pipeline if isinstance(op, UnnestNode)
+                )
+        batches = traced_batch_source(batches, plan.source, **attrs)
     if fused:
         from .codegen import run_generated_batches
 
@@ -569,8 +749,14 @@ def run_batch_plan(
             # timings are unobservable; marker spans keep every plan node
             # represented exactly once in the trace.
             for op in plan.pipeline:
-                record_span(op_span_name(op), 0.0, fused=True)
+                record_span(op_span_name(op), 0.0, fused=True, **_pushed_attr(op, pushed))
         piped = run_generated_batches(batches, plan)
     else:
-        piped = run_batch_pipeline(batches, plan.pipeline)
+        piped = run_batch_pipeline(batches, plan.pipeline, pushed)
     return run_batch_breakers(piped, plan.breakers)
+
+
+def _pushed_attr(op, pushed) -> dict:
+    """Span attrs of a pipeline operator: the UNNEST every partition's direct
+    scan performed is marked ``pushed``."""
+    return {"pushed": True} if op is pushed else {}

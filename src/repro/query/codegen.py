@@ -25,6 +25,7 @@ when the assumption fails (a "deoptimization", counted on the
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..model.errors import CodegenError
@@ -143,25 +144,25 @@ class _DirectContext:
         self.scan_variable = scan_variable
         #: ASSIGN/UNNEST variable name -> generated local (latest binding wins).
         self.locals: Dict[str, str] = {}
-        #: Path on the scan variable -> (column local, namespace path constant).
-        self.columns: Dict[FieldPath, Tuple[str, str]] = {}
+        #: Batch column -> its prologue local.  Keys are ``(variable, path)``
+        #: for path columns and ``(variable, None)`` for a whole-variable
+        #: column; the scan's own bindings (the scan variable's paths, a
+        #: pushed UNNEST's variable) are read this way.
+        self.columns: Dict[Tuple[str, Optional[FieldPath]], str] = {}
 
-    def column_local(self, path: FieldPath) -> str:
-        entry = self.columns.get(path)
-        if entry is None:
-            index = len(self.columns)
-            entry = (f"_c{index}", f"_path{index}")
-            self.columns[path] = entry
-        return entry[0]
+    def column_local(self, variable: str, path: Optional[FieldPath]) -> str:
+        return self.columns.setdefault((variable, path), f"_c{len(self.columns)}")
 
 
 def _direct_source(expression: Expression, ctx: _DirectContext) -> str:
     """Python source for one expression over column locals (direct batches).
 
-    Scalars come straight out of the prologue-materialized path vectors
+    Scalars come straight out of the prologue-materialized column vectors
     (``_cN[_i]``) and ASSIGN/UNNEST locals; the helpers (`_compare`,
     ``_get_path``, ``_functions``) are the same ones the row code generator
-    uses, so the scalar semantics are shared by construction.
+    uses, so the scalar semantics are shared by construction.  A variable the
+    pipeline never bound resolves through the batch, which answers MISSING
+    for one the scan did not bind either — as ``Var.evaluate`` would.
     """
     if isinstance(expression, Literal):
         return repr(expression.value)
@@ -173,13 +174,11 @@ def _direct_source(expression: Expression, ctx: _DirectContext) -> str:
             raise CodegenError(
                 "direct pipelines cannot materialize the scan variable"
             )
-        return "MISSING"  # unbound variable, as in Var.evaluate
+        return f"{ctx.column_local(expression.name, None)}[_i]"
     if isinstance(expression, Field):
         base = expression.base
         if isinstance(base, Var) and base.name not in ctx.locals:
-            if base.name == ctx.scan_variable:
-                return f"{ctx.column_local(expression.path)}[_i]"
-            return "MISSING"  # field of an unbound variable
+            return f"{ctx.column_local(base.name, expression.path)}[_i]"
         return (
             f"_get_path({_direct_source(base, ctx)}, {str(expression.path)!r})"
         )
@@ -265,12 +264,15 @@ def generate_direct_pipeline(plan: QueryPlan) -> GeneratedPipeline:
         body.append(f"{indent}{out}.append({local})")
     lines = [f"def {name}(_batch):"]
     namespace = dict(CODEGEN_GLOBALS)
-    for path, (column_local, path_constant) in ctx.columns.items():
-        namespace[path_constant] = path
-        lines.append(
-            f"    {column_local} = _batch.path_values("
-            f"{ctx.scan_variable!r}, {path_constant})"
-        )
+    for (variable, path), column_local in ctx.columns.items():
+        if path is None:
+            lines.append(f"    {column_local} = _batch.var_values({variable!r})")
+        else:
+            namespace[f"_path{column_local}"] = path
+            lines.append(
+                f"    {column_local} = _batch.path_values("
+                f"{variable!r}, _path{column_local})"
+            )
     lines.append("    _selection = []")
     for _, _, out in outputs:
         lines.append(f"    {out} = []")
@@ -297,9 +299,11 @@ def run_generated_batches(
 ) -> Iterator[ColumnBatch]:
     """Run the fused pipeline batch-at-a-time (the ``codegen`` executor core).
 
-    Direct (path-column) batches go through :func:`generate_direct_pipeline`;
-    row-backed batches reuse the row code generator per batch.  Both pipeline
-    flavours are compiled lazily, at most once each per plan execution.
+    Direct (path-column) batches go through :func:`generate_direct_pipeline`
+    — minus the UNNEST the scan already performed, when they arrive
+    ``unnested`` — and row-backed batches reuse the row code generator per
+    batch.  Both pipeline flavours are compiled lazily, at most once each per
+    plan execution (a scan's direct batches are all unnested or none is).
     """
     if not plan.pipeline:
         for batch in batches:
@@ -307,14 +311,23 @@ def run_generated_batches(
                 yield batch
         return
     row_pipeline: Optional[GeneratedPipeline] = None
-    direct_pipeline: Optional[GeneratedPipeline] = None
+    direct_function = None
     for batch in batches:
         if not batch.length:
             continue
-        if batch.paths:
-            if direct_pipeline is None:
-                direct_pipeline = generate_direct_pipeline(plan)
-            out = direct_pipeline.function(batch)
+        if batch.paths or batch.unnested:
+            if direct_function is None:
+                ops = [
+                    op
+                    for op in plan.pipeline
+                    if not (batch.unnested and isinstance(op, UnnestNode))
+                ]
+                direct_function = (
+                    generate_direct_pipeline(replace(plan, pipeline=ops)).function
+                    if ops
+                    else (lambda unchanged: unchanged)
+                )
+            out = direct_function(batch)
         else:
             if row_pipeline is None:
                 row_pipeline = generate_pipeline(plan)

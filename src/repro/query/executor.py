@@ -221,9 +221,9 @@ def traced_row_source(rows: Iterable[dict], source_node) -> Iterator[dict]:
         )
 
 
-def traced_batch_source(batches, source_node):
+def traced_batch_source(batches, source_node, **attrs):
     """Like :func:`traced_row_source` but over column batches — the span
-    carries both the batch count and the total row count."""
+    carries both the batch count and the total row count, plus ``attrs``."""
     row_count = 0
     batch_count = 0
     elapsed = 0.0
@@ -247,6 +247,7 @@ def traced_batch_source(batches, source_node):
             dataset=getattr(source_node, "dataset", None),
             rows_out=row_count,
             batches=batch_count,
+            **attrs,
         )
 
 

@@ -124,6 +124,27 @@ class ColumnPredicate:
         return f"{self.path} {self.op} {self.value!r}"
 
 
+@dataclass(frozen=True)
+class UnnestBinding:
+    """An UNNEST the direct scan can perform itself: ``$variable <- array``.
+
+    ``array`` is an array-free path on the scan variable that the plan
+    consumes *only* through its single UNNEST operator; ``elements`` are the
+    sub-paths dereferenced on the unnest variable (``temp`` for ``r.temp``).
+    The empty path stands for the element itself (a bare ``Var`` use, as in
+    Figure 11's array of scalars), and no element path at all means the plan
+    needs nothing but the array's cardinality (``COUNT(*)``).
+    """
+
+    variable: str
+    array: FieldPath
+    elements: Tuple[FieldPath, ...] = ()
+
+    def element_path(self, element: FieldPath) -> FieldPath:
+        """The element sub-path spelled from the scan variable: ``readings[*].temp``."""
+        return FieldPath(self.array.steps + (ARRAY_PATH_STEP,) + element.steps)
+
+
 @dataclass
 class PushdownSpec:
     """What a columnar scan may exploit: pruned paths + pushed predicates.
@@ -132,11 +153,16 @@ class PushdownSpec:
     for partial assembly); ``paths`` refines it to the exact column paths the
     plan references (None = no refinement, read everything under ``fields``);
     ``predicates`` are pre-filters evaluated on column batches before assembly.
+    ``unnest`` refines an array path of ``paths`` further, for the direct scan
+    only: the element sub-paths the plan actually reads (the reconciling scan
+    keeps assembling the whole array — partial assembly of a heterogeneous
+    array from a pruned column set is not exact).
     """
 
     fields: Optional[List[str]] = None
     paths: Optional[List[FieldPath]] = None
     predicates: List[ColumnPredicate] = dataclass_field(default_factory=list)
+    unnest: Optional[UnnestBinding] = None
 
     def describe(self) -> str:
         parts = []
@@ -146,6 +172,15 @@ class PushdownSpec:
             parts.append(
                 "predicates=[" + ", ".join(repr(p) for p in self.predicates) + "]"
             )
+        if self.unnest is not None:
+            unnest = self.unnest
+            parts.append(f"unnest=${unnest.variable}<-{unnest.array}")
+            if unnest.elements:
+                parts.append(
+                    "elements=["
+                    + ", ".join(str(unnest.element_path(e)) for e in unnest.elements)
+                    + "]"
+                )
         return "; ".join(parts) if parts else "none"
 
 
@@ -171,6 +206,7 @@ def attach_pushdown(plan: QueryPlan, prune_paths: bool = True) -> QueryPlan:
         fields=source.fields,
         paths=paths,
         predicates=_extract_predicates(plan, source.variable),
+        unnest=None if paths is None else _unnest_binding(plan, source.variable),
     )
     return plan
 
@@ -196,6 +232,68 @@ def _pruned_paths(plan: QueryPlan, variable: str) -> Optional[List[FieldPath]]:
         minimal.append(path)
         minimal_steps.append(steps)
     return minimal
+
+
+def _unnest_binding(plan: QueryPlan, variable: str) -> Optional[UnnestBinding]:
+    """The UNNEST a direct scan may absorb, or None.
+
+    Exactly one UNNEST, over an array-free path of the scan variable that no
+    other expression touches (not even by prefix: ``array_count(s.readings)``
+    or ``s.readings[*].temp`` need the assembled list).  The unnest variable
+    must be bound once and never read before its UNNEST, so performing the
+    UNNEST at the scan — ahead of the operators that preceded it — cannot
+    change what any expression sees.
+    """
+    unnests = [op for op in plan.pipeline if isinstance(op, UnnestNode)]
+    if len(unnests) != 1:
+        return None
+    unnest = unnests[0]
+    source = unnest.expression
+    if not (
+        isinstance(source, Field)
+        and isinstance(source.base, Var)
+        and source.base.name == variable
+    ):
+        return None
+    array = source.path
+    if len(array) == 0 or array.array_depth > 0 or unnest.variable == variable:
+        return None
+    position = plan.pipeline.index(unnest)
+    for index, op in enumerate(plan.pipeline):
+        if op is unnest:
+            continue
+        if getattr(op, "variable", None) == unnest.variable:
+            return None  # rebound by an ASSIGN or a join
+        if index < position and any(
+            unnest.variable in expression.referenced_variables()
+            for expression in collect_expressions([op], [])
+        ):
+            return None  # read while still unbound
+    array_steps = array.steps
+    elements: List[FieldPath] = []
+    whole_element = False
+    others = collect_expressions(
+        [op for op in plan.pipeline if op is not unnest], plan.breakers
+    )
+    for expression in others:
+        if unnest.variable in expression.referenced_bare_variables():
+            whole_element = True
+        for ref_variable, path in expression.referenced_paths():
+            if ref_variable == variable:
+                steps = field_name_steps(path.steps)
+                shared = min(len(steps), len(array_steps))
+                if steps[:shared] == array_steps[:shared]:
+                    return None
+            elif ref_variable == unnest.variable:
+                if path.array_depth > 0:
+                    return None
+                if path not in elements:
+                    elements.append(path)
+    if whole_element:
+        # The element is consumed as a value; field accesses on it resolve
+        # against that value (MISSING for the scalars the scan can serve).
+        elements = [FieldPath(())]
+    return UnnestBinding(unnest.variable, array, tuple(elements))
 
 
 def _extract_predicates(plan: QueryPlan, variable: str) -> List[ColumnPredicate]:
@@ -280,12 +378,17 @@ def _only_atomic_at(schema: Schema, steps: Tuple[str, ...]) -> bool:
     return all(isinstance(final, AtomicNode) for final in finals)
 
 
-def schema_supports_direct(schema: Schema, paths: Sequence[FieldPath]) -> bool:
-    """Can every pruned path be served as one flat per-record value vector?
+def schema_supports_direct(
+    schema: Schema,
+    paths: Sequence[FieldPath],
+    unnest: Optional[UnnestBinding] = None,
+) -> bool:
+    """Can every pruned path be served as a value vector straight off the columns?
 
     The batch executor's *direct* scan skips document assembly by reading each
-    requested path straight from the component's column streams.  That is only
-    exact when, for this component's schema snapshot,
+    requested path straight from the component's column streams.  A record
+    path (one value per record) is only exact when, for this component's
+    schema snapshot,
 
     * the path itself contains no array steps,
     * no column stores values *under* the path through an array (the path's
@@ -297,8 +400,14 @@ def schema_supports_direct(schema: Schema, paths: Sequence[FieldPath]) -> bool:
     exactly as field access on the assembled document would.  Union branches
     (several atomic columns sharing the path) are fine too: at most one
     branch is present per record.
+
+    The array of an ``unnest`` binding is exempt from the rules above and
+    checked by :func:`unnest_columns` instead: the scan emits one row per
+    element, so its element paths are value vectors too.
     """
     for path in paths:
+        if unnest is not None and path == unnest.array:
+            continue
         if path.array_depth > 0:
             return False
         steps = tuple(path.steps)
@@ -310,7 +419,67 @@ def schema_supports_direct(schema: Schema, paths: Sequence[FieldPath]) -> bool:
                 return False
             if len(named) > len(steps):
                 return False
-    return True
+    return unnest is None or unnest_columns(schema, unnest) is not None
+
+
+def unnest_columns(
+    schema: Schema, unnest: UnnestBinding
+) -> Optional[Tuple[Optional[ColumnInfo], Dict[FieldPath, Optional[ColumnInfo]]]]:
+    """Resolve an unnest binding against one component's schema snapshot.
+
+    Returns ``(anchor, element path -> column)``, or None when scanning the
+    array without assembly would not be exact here.  It is exact when every
+    column under the array path
+
+    * sits below exactly one array — the unnested one (``array_count == 1``
+      with the ``[*]`` step right after the array path; a scalar at the path
+      or an array nested below it disqualify), and
+    * crosses no union, at, above or under the array node (a scalar-or-array
+      field, null or mixed-type elements).
+
+    Every such column then carries one entry per element, so the element
+    paths line up row for row.  An element path may match one atomic column
+    or none (always MISSING); a column *extending* it means the value is an
+    object, which only assembly can build.
+
+    The ``anchor`` is the column whose per-record element counts are always
+    exact: the array's first-discovered (lowest-id) column, the only one that
+    can never have been back-filled over a record whose array had elements —
+    a column inferred mid-flush reads "no array" for the earlier records of
+    that flush (§3.2.2).  The scan counts off a column it reads anyway and
+    consults the anchor only for groups where that column shows a record
+    without the array.  None means the array never occurs in this component,
+    so the UNNEST yields nothing.
+    """
+    array_steps = unnest.array.steps
+    depth = len(array_steps)
+    under = [
+        column
+        for column in schema.columns
+        if field_name_steps(column.path)[:depth] == array_steps
+    ]
+    for column in under:
+        if (
+            column.array_count != 1
+            or len(column.path) <= depth
+            or column.path[:depth] != array_steps
+            or column.path[depth] != ARRAY_PATH_STEP
+            or field_name_steps(column.path[depth + 1:]) != column.path[depth + 1:]
+        ):
+            return None
+    resolved: Dict[FieldPath, Optional[ColumnInfo]] = {}
+    for element in unnest.elements:
+        tail = element.steps
+        resolved[element] = None
+        for column in under:
+            below = column.path[depth + 1:]
+            if below[: len(tail)] != tail:
+                continue
+            if len(below) > len(tail):
+                return None
+            resolved[element] = column
+    anchor = min(under, key=lambda column: column.column_id, default=None)
+    return anchor, resolved
 
 
 class CompiledPredicate:

@@ -26,7 +26,7 @@ Example:
     ... ''')
     >>> print(compiled.query.explain())
     SCAN gamers AS $g (fields=['games'])
-      PUSHDOWN paths=[games]
+      PUSHDOWN paths=[games]; unnest=$t<-games; elements=[games[*]]
     UNNEST $t <- Field(Var('g'), 'games')
     GROUPBY keys=[t=Var('t')] aggregates=[cnt=count(*)]
     ORDERBY cnt DESC

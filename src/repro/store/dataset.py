@@ -455,6 +455,7 @@ class Dataset:
         batch_size: int = 1024,
         direct: bool = False,
         executor=None,
+        fallbacks: Optional[List[str]] = None,
     ) -> Iterator:
         """Scan every partition as column batches for the batch executors.
 
@@ -464,7 +465,10 @@ class Dataset:
         ranges — see :func:`repro.query.batch_executor.partition_batches`)
         emit assembly-free path-column batches straight from the pruned
         column streams; the rest fall back to the reconciled row scan,
-        batched row-wise.  With ``executor`` (a thread pool) and multiple
+        batched row-wise, and append the reason to ``fallbacks`` (complete
+        when this method returns: every partition chooses up front).  A
+        direct partition also performs the spec's pushed UNNEST, if it has
+        one, and marks its batches ``unnested``.  With ``executor`` (a thread pool) and multiple
         partitions, each partition's batches materialize on a pool worker,
         but results stream back in *partition* order — unlike
         :meth:`parallel_scan`'s completion order — so a given snapshot
@@ -482,6 +486,7 @@ class Dataset:
                 pushdown,
                 batch_size,
                 allow_direct=direct,
+                fallbacks=fallbacks,
             )
             for partition, snapshot in zip(self.partitions, snapshots)
         ]

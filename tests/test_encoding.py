@@ -279,3 +279,96 @@ class TestCompression:
     def test_unknown_codec(self):
         with pytest.raises(EncodingError):
             get_codec("lz4")
+
+
+def _snappy_stream(expected: int, tokens) -> bytes:
+    """Hand-assemble a snappy-like stream: ``bytes`` = literal run,
+    ``(size, distance)`` = back-reference."""
+    out = bytearray()
+    varint.encode_uvarint(expected, out)
+    for token in tokens:
+        if isinstance(token, bytes):
+            varint.encode_uvarint(len(token) << 1, out)
+            out.extend(token)
+        else:
+            size, distance = token
+            varint.encode_uvarint((size << 1) | 1, out)
+            varint.encode_uvarint(distance, out)
+    return bytes(out)
+
+
+def _reference_expand(tokens) -> bytes:
+    """The byte-at-a-time copy loop the slice-based decoder replaced."""
+    out = bytearray()
+    for token in tokens:
+        if isinstance(token, bytes):
+            out.extend(token)
+        else:
+            size, distance = token
+            start = len(out) - distance
+            for index in range(size):
+                out.append(out[start + index])
+    return bytes(out)
+
+
+@st.composite
+def _snappy_tokens(draw):
+    """A literal run followed by literals and back-references whose distances
+    fall on both sides of their sizes (overlapping and disjoint copies)."""
+    tokens = [draw(st.binary(min_size=1, max_size=12))]
+    produced = len(tokens[0])
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            literal = draw(st.binary(min_size=1, max_size=12))
+            tokens.append(literal)
+            produced += len(literal)
+        else:
+            size = draw(st.integers(1, 64))
+            tokens.append((size, draw(st.integers(1, min(produced, 70)))))
+            produced += size
+    return tokens
+
+
+class TestSnappyLikeDecoder:
+    codec = get_codec("snappy")
+
+    @given(tokens=_snappy_tokens())
+    @settings(max_examples=200, deadline=None)
+    def test_back_references_match_the_bytewise_copy(self, tokens):
+        expected = _reference_expand(tokens)
+        stream = _snappy_stream(len(expected), tokens)
+        assert self.codec.decompress(stream) == expected
+
+    @given(
+        pattern=st.binary(min_size=1, max_size=5),
+        repeats=st.integers(2, 400),
+        tail=st.binary(max_size=16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_of_short_period_runs(self, pattern, repeats, tail):
+        # Short periods make the compressor emit copies with distance < size.
+        data = pattern * repeats + tail
+        assert self.codec.decompress(self.codec.compress(data)) == data
+
+    def test_overlapping_copy_replicates_the_pattern(self):
+        stream = _snappy_stream(11, [b"ab", (9, 2)])
+        assert self.codec.decompress(stream) == b"abababababa"
+        assert self.codec.decompress(_snappy_stream(6, [b"x", (5, 1)])) == b"x" * 6
+
+    def test_truncated_stream(self):
+        with pytest.raises(EncodingError, match="truncated snappy-like stream"):
+            self.codec.decompress(_snappy_stream(10, [b"abc"]))
+
+    def test_truncated_literal_run(self):
+        stream = _snappy_stream(8, [b"abcdefgh"])[:-3]
+        with pytest.raises(EncodingError, match="truncated literal run"):
+            self.codec.decompress(stream)
+
+    @pytest.mark.parametrize("distance", [0, 4])
+    def test_invalid_back_reference(self, distance):
+        with pytest.raises(EncodingError, match="invalid back-reference"):
+            self.codec.decompress(_snappy_stream(8, [b"abc", (5, distance)]))
+
+    def test_copy_past_the_declared_length(self):
+        with pytest.raises(EncodingError, match="length mismatch"):
+            self.codec.decompress(_snappy_stream(4, [b"ab", (9, 2)]))

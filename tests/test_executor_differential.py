@@ -10,7 +10,10 @@ returns.
 The corpus deliberately includes the adversarial shapes the batch kernels
 special-case: MISSING vs null fields, booleans stored next to numbers,
 integers beyond the float64-exact range and beyond int64, NaN-free floats,
-nested objects, and arrays for UNNEST.  Two datasets are queried — one fully
+nested objects, and arrays for UNNEST — scalars (``tags``), homogeneous
+objects (``items``: the shape the direct scan unnests itself) and a
+heterogeneous mix of nulls, scalars, objects and nested arrays (``mixed``:
+must fall back).  Two datasets are queried — one fully
 flushed with disjoint per-flush key ranges (so columnar layouts take the
 assembly-free direct batch path) and one with memtable rows, deletes, and
 updates (so the batch source must fall back to the reconciled row scan).
@@ -68,7 +71,28 @@ def _document(rng: random.Random, key: int) -> dict:
         doc["tags"] = [rng.randint(0, 6) for _ in range(rng.randint(0, 4))]
     if rng.random() < 0.2:
         doc["flag"] = rng.random() < 0.5  # bools next to numbers elsewhere
+    if rng.random() < 0.7:
+        # Never empty: an array first seen empty infers a null item, which
+        # unions with the objects that follow and disqualifies the component.
+        doc["items"] = [_item(rng) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.3:
+        doc["mixed"] = [
+            rng.choice((None, rng.randint(0, 9), _item(rng), [1, 2], "x"))
+            for _ in range(rng.randint(0, 3))
+        ]
     return doc
+
+
+def _item(rng: random.Random) -> dict:
+    """One element of an array of objects; every field is sometimes MISSING."""
+    item = {}
+    if rng.random() < 0.85:
+        item["n"] = rng.randint(-9, 40)
+    if rng.random() < 0.7:
+        item["s"] = rng.choice(["ash", "birch", "cedar"])
+    if rng.random() < 0.4:
+        item["o"] = {"z": rng.randint(0, 5)} if rng.random() < 0.8 else {}
+    return item
 
 
 def _build_store(layout: str, rng: random.Random) -> Datastore:
@@ -147,7 +171,7 @@ def _join_query(rng: random.Random, dataset: str, where: str) -> str:
             f"SELECT t.id AS i, y.id AS j FROM {dataset} AS t JOIN {other} AS y "
             f"ON t.{path} = y.{path}{where} ORDER BY i, j{limit};"
         )
-    extra = f" AND {_predicate(rng)}" if rng.random() < 0.5 else ""
+    extra = f" AND ({_predicate(rng)})" if rng.random() < 0.5 else ""
     return (
         f"SELECT t.id AS i, y.id AS j FROM {dataset} AS t, {other} AS y "
         f"WHERE t.{path} = y.{path}{extra} ORDER BY i, j{limit};"
@@ -207,6 +231,30 @@ def _window_query(rng: random.Random, dataset: str, where: str) -> str:
     )
 
 
+def _object_unnest_query(rng: random.Random, dataset: str, where: str) -> str:
+    """UNNEST over an array of objects, reading element fields (or nothing)."""
+    array = "items" if rng.random() < 0.8 else "mixed"
+    source = f"FROM {dataset} AS t{where} UNNEST t.{array} AS e"
+    if rng.random() < 0.5:
+        source += f" WHERE e.n {rng.choice(('<', '>=', '!='))} {rng.randint(-5, 30)}"
+    roll = rng.random()
+    if roll < 0.2:
+        return f"SELECT COUNT(*) AS c {source};"
+    if roll < 0.45:
+        return (
+            f"SELECT MAX(e.n) AS hi, MIN(e.s) AS lo, SUM(e.o.z) AS z, "
+            f"COUNT(*) AS c {source};"
+        )
+    if roll < 0.7:
+        key = rng.choice(("t.b", "t.nested.w", "e.s", "e.o.z"))
+        return f"SELECT k AS k, COUNT(*) AS c, AVG(e.n) AS m {source} GROUP BY {key} AS k;"
+    if roll < 0.9:
+        return f"SELECT t.id AS i, t.a AS a, e.n AS n, e.o.z AS z {source};"
+    # An object-valued element path: only assembly can build it.  (Single-key
+    # objects, so shards that inferred fields in another order still agree.)
+    return f"SELECT VALUE e.o {source};"
+
+
 def generate_query(rng: random.Random) -> str:
     """One random SQL++ SELECT over the synthetic corpus."""
     dataset = rng.choice(("d", "m"))
@@ -230,6 +278,8 @@ def generate_query(rng: random.Random) -> str:
         )
     if shape < 0.66:
         unnest_where = f" WHERE {_predicate(rng)}" if rng.random() < 0.4 else ""
+        if rng.random() < 0.6:
+            return _object_unnest_query(rng, dataset, unnest_where)
         if rng.random() < 0.5:
             return (
                 f"SELECT VALUE u FROM {dataset} AS t "
@@ -313,3 +363,30 @@ def test_direct_batches_engage_for_columnar_layouts(fuzz_store):
         assert all(not batch.vars for batch in direct)
     else:
         assert not direct, "row layouts must use row-backed batches"
+
+
+def test_direct_scan_unnests_arrays_of_objects(fuzz_store):
+    """Meta-test: the ``items`` UNNESTs of the corpus are performed by the
+    direct scan on the columnar layouts, and ``mixed`` ones never are."""
+    layout, store = fuzz_store
+    text = "SELECT MAX(e.n) AS hi, COUNT(*) AS c FROM d AS t UNNEST t.{} AS e;"
+    for array, columnar_mode in (("items", "direct"), ("mixed", "reconciled")):
+        oracle = store.query(text.format(array), executor="interpreted")
+        assert oracle[0]["c"] > 0
+        for executor in ("batch", "codegen"):
+            assert store.query(text.format(array), executor=executor) == oracle
+            scan = _find_span(store.last_trace.root, "DataScanNode")
+            expected = columnar_mode if layout in ("apax", "amax") else "reconciled"
+            assert scan.attrs["scan_mode"] == expected, (array, scan.attrs)
+            unnest = _find_span(store.last_trace.root, "UnnestNode")
+            assert unnest.attrs.get("pushed", False) is (expected == "direct")
+
+
+def _find_span(node, name):
+    if node.name == name:
+        return node
+    for child in node.children:
+        found = _find_span(child, name)
+        if found is not None:
+            return found
+    return None

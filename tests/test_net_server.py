@@ -248,6 +248,26 @@ def test_explain_over_the_wire(accounts_server):
         assert "OPTIMIZER" in result.done["explain"]
 
 
+def test_client_leaves_the_executor_to_the_server_unless_asked(accounts_server):
+    """``statement``/``explain`` send no ``executor`` key of their own, so the
+    server's default applies; an explicit choice still travels."""
+    with accounts_server.connect() as client:
+        sent = []
+        request = client.request
+
+        def recording(payload, **kwargs):
+            sent.append(dict(payload))
+            return request(payload, **kwargs)
+
+        client.request = recording
+        text = "SELECT COUNT(*) AS n FROM accounts AS a;"
+        assert client.statement(text).rows == [{"n": 0}]
+        assert "EXECUTOR codegen" in client.explain(text)  # the server default
+        assert client.statement(text, executor="interpreted").rows == [{"n": 0}]
+        assert "EXECUTOR batch" in client.explain(text, executor="batch")
+        assert ["executor" in payload for payload in sent] == [False, False, True, True]
+
+
 def test_done_frame_reports_statement_io(accounts_server):
     with accounts_server.connect() as client:
         client.insert("accounts", [{"id": i, "b": i} for i in range(500)])
