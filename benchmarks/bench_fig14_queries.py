@@ -1,7 +1,8 @@
 """Figures 14a–14d: analytical query times per dataset, query, and layout.
 
-The paper runs every query with the code-generation executor and reports the
-average of warm runs.  We do the same and additionally report page-level I/O
+The paper runs every query with its fast (code-generation) executor and
+reports the average of warm runs.  We do the same with ours — the default
+``batch`` executor — and additionally report page-level I/O
 (device reads + buffer-cache hits) because that is what drives the layout
 differences: ``COUNT(*)`` under AMAX touches only the mega leaves' Page 0, so
 its I/O collapses by an order of magnitude, while the row layouts always read
@@ -25,7 +26,7 @@ LAYOUT_ORDER = ("open", "vector", "apax", "amax")
 #: the shapes where the batch executor's assembly-free columnar scan (and the
 #: COUNT(*) metadata shortcut) should pay off hardest.
 AGGREGATE_SUITE = (cell_q1, cell_q3)
-EXECUTOR_ORDER = ("interpreted", "batch", "codegen")
+EXECUTOR_ORDER = ("interpreted", "batch")
 
 
 def _run_suite(fixtures, dataset_name):
@@ -34,7 +35,7 @@ def _run_suite(fixtures, dataset_name):
         per_layout = {}
         reference_rows = None
         for layout in LAYOUT_ORDER:
-            result = run_query(fixtures[layout], query_factory, executor="codegen")
+            result = run_query(fixtures[layout], query_factory)
             per_layout[layout] = result
             if reference_rows is None:
                 reference_rows = result.rows
@@ -79,7 +80,7 @@ def test_fig14a_cell_queries(benchmark, cell_fixtures):
     results = benchmark.pedantic(
         lambda: _run_suite(cell_fixtures, "cell"), rounds=1, iterations=1
     )
-    _report("Figure 14a — cell queries (codegen executor)", results, "cell")
+    _report("Figure 14a — cell queries (batch executor)", results, "cell")
     q1 = results["cell_q1"]
     # Q1 (COUNT(*)): AMAX touches only Page 0 → far fewer pages than the row layouts.
     assert q1["amax"].pages_read < q1["open"].pages_read
@@ -92,7 +93,7 @@ def test_fig14b_sensors_queries(benchmark, sensors_fixtures):
     results = benchmark.pedantic(
         lambda: _run_suite(sensors_fixtures, "sensors"), rounds=1, iterations=1
     )
-    _report("Figure 14b — sensors queries (codegen executor)", results, "sensors")
+    _report("Figure 14b — sensors queries (batch executor)", results, "sensors")
     # The sensors dataset fits in the buffer cache: repeated reads hit the cache,
     # and the row layouts touch more pages than the columnar ones for Q1.
     q1 = results["sensors_q1"]
@@ -106,7 +107,7 @@ def test_fig14c_tweet1_queries(benchmark, tweet1_fixtures):
     results = benchmark.pedantic(
         lambda: _run_suite(tweet1_fixtures, "tweet_1"), rounds=1, iterations=1
     )
-    _report("Figure 14c — tweet_1 queries (codegen executor)", results, "tweet_1")
+    _report("Figure 14c — tweet_1 queries (batch executor)", results, "tweet_1")
     q1 = results["tweet1_q1"]
     q2 = results["tweet1_q2"]
     # COUNT(*) under AMAX reads an order of magnitude fewer pages than Open.
@@ -121,7 +122,7 @@ def test_fig14d_wos_queries(benchmark, wos_fixtures):
     results = benchmark.pedantic(
         lambda: _run_suite(wos_fixtures, "wos"), rounds=1, iterations=1
     )
-    _report("Figure 14d — wos queries (codegen executor, heterogeneous values)", results, "wos")
+    _report("Figure 14d — wos queries (batch executor, heterogeneous values)", results, "wos")
     q1 = results["wos_q1"]
     assert q1["amax"].pages_read < q1["open"].pages_read
     # Q3/Q4 exercise the union columns (object vs array of objects) and must
@@ -137,7 +138,7 @@ def _run_executor_comparison(fixtures):
             per_executor = {}
             reference_rows = None
             for executor in EXECUTOR_ORDER:
-                # One warm-up run (lazy module imports, codegen compilation),
+                # One warm-up run (lazy module imports, cold caches),
                 # then the average of warm runs — as the paper measures.
                 run_query(fixtures[layout], query_factory, executor=executor)
                 result = run_query(
@@ -157,7 +158,7 @@ def _run_executor_comparison(fixtures):
 
 
 def test_fig14_aggregate_suite_executors(benchmark, cell_fixtures):
-    """Row-at-a-time vs batch vs fused-batch on the full-scan aggregate suite.
+    """Row-at-a-time vs batch on the full-scan aggregate suite.
 
     The ROADMAP target: the batch executor's assembly-free columnar scan makes
     the aggregate suite ≥5× faster than the interpreted row-at-a-time path on
@@ -177,8 +178,7 @@ def test_fig14_aggregate_suite_executors(benchmark, cell_fixtures):
     }
     speedups = {
         layout: {
-            executor: suite_seconds[layout]["interpreted"] / suite_seconds[layout][executor]
-            for executor in ("batch", "codegen")
+            "batch": suite_seconds[layout]["interpreted"] / suite_seconds[layout]["batch"]
         }
         for layout in LAYOUT_ORDER
     }
@@ -186,14 +186,11 @@ def test_fig14_aggregate_suite_executors(benchmark, cell_fixtures):
         "Figure 14 (executor comparison) — aggregate suite seconds per layout",
         ["layout"]
         + [f"{executor} (s)" for executor in EXECUTOR_ORDER]
-        + ["batch speedup", "codegen speedup"],
+        + ["batch speedup"],
         [
             [layout]
             + [round(suite_seconds[layout][executor], 4) for executor in EXECUTOR_ORDER]
-            + [
-                round(speedups[layout]["batch"], 1),
-                round(speedups[layout]["codegen"], 1),
-            ]
+            + [round(speedups[layout]["batch"], 1)]
             for layout in LAYOUT_ORDER
         ],
     )
@@ -217,7 +214,6 @@ def test_fig14_aggregate_suite_executors(benchmark, cell_fixtures):
             "speedup_vs_interpreted": speedups,
         },
     )
-    # The acceptance bar: ≥5× on the columnar layouts for both batch modes.
+    # The acceptance bar: ≥5× on the columnar layouts.
     for layout in ("apax", "amax"):
         assert speedups[layout]["batch"] >= 5.0, (layout, speedups[layout])
-        assert speedups[layout]["codegen"] >= 5.0, (layout, speedups[layout])

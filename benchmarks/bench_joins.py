@@ -11,8 +11,8 @@ Two claims the PR 9 relational layer must back up:
   promises.  The statistics-driven build side is pinned from ``explain()``
   on the same stores.
 * **Window functions are executor-portable.**  The running-sum window query
-  returns identical rows on the interpreted, batch, and codegen executors;
-  the bench records each executor's wall time.
+  returns identical rows on the interpreted and batch executors; the bench
+  records each executor's wall time.
 
 Timings land in ``BENCH_joins.json`` (sections ``join_vs_correlated``,
 ``build_side``, and ``window_executors``) via :func:`write_bench_json`.
@@ -23,6 +23,7 @@ from __future__ import annotations
 import time
 
 from repro.bench.reporting import print_figure, write_bench_json
+from repro.query.executor import EXECUTORS
 from repro.store import Datastore, StoreConfig
 
 #: (users, orders) scales for the join-vs-correlated crossover.  Every user
@@ -44,8 +45,6 @@ WINDOW_QUERY = (
     "SELECT o.id AS id, SUM(o.total) OVER (PARTITION BY o.user "
     "ORDER BY o.id) AS run FROM orders AS o ORDER BY id;"
 )
-
-EXECUTORS = ("interpreted", "batch", "codegen")
 
 
 def _orders_store(num_users: int, num_orders: int) -> Datastore:
@@ -127,7 +126,7 @@ def test_hash_join_beats_correlated_nested_loop(benchmark):
 
 
 # ======================================================================================
-# Window functions across the three executors
+# Window functions across both executors
 # ======================================================================================
 
 

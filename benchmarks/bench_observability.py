@@ -26,6 +26,7 @@ import time
 from repro.bench.reporting import print_figure, write_bench_json
 from repro.datasets.generators import make_generator
 from repro.net.server import EngineSessionHandler, WireServer
+from repro.query.executor import DEFAULT_EXECUTOR
 from repro.shard.coordinator import ShardedDatastore
 from repro.store import Datastore, StoreConfig
 
@@ -95,7 +96,7 @@ def test_query_overhead_under_5_percent(benchmark):
     def suite_metrics_only():
         # Straight plan execution: device/cache counters tick, spans no-op.
         for query in compiled:
-            query.execute(store_on, executor="codegen")
+            query.execute(store_on)
 
     def suite_traced():
         for text in AGGREGATE_SQL:
@@ -103,7 +104,7 @@ def test_query_overhead_under_5_percent(benchmark):
 
     def run():
         for suite in (suite_off, suite_metrics_only, suite_traced):
-            suite()  # warm-up: caches, codegen compilation
+            suite()  # warm-up: caches, lazy imports
         return {
             "off_s": _best_of(suite_off),
             "metrics_only_s": _best_of(suite_metrics_only),
@@ -117,7 +118,7 @@ def test_query_overhead_under_5_percent(benchmark):
         rendered = store_on.last_trace.render()
         assert "DataScanNode" in rendered
         assert store_on.metrics.get_value(
-            "repro_queries_total", executor="codegen"
+            "repro_queries_total", executor=DEFAULT_EXECUTOR
         ) > 0
         assert store_off.metrics_text() == "# observability disabled\n"
     finally:
@@ -129,7 +130,7 @@ def test_query_overhead_under_5_percent(benchmark):
         for mode in ("metrics_only", "traced")
     }
     print_figure(
-        "Observability overhead — Figure-14 aggregate suite (codegen)",
+        "Observability overhead — Figure-14 aggregate suite (default executor)",
         ["mode", "suite seconds", "vs off"],
         [
             ["off", round(results["off_s"], 5), 1.0],

@@ -60,8 +60,7 @@ def _run(fixtures, query_factory):
         per_mode = {}
         for mode, enabled in (("pushdown", True), ("baseline", False)):
             result = run_query(
-                fixtures[layout], query_factory, executor="codegen",
-                repetitions=3, pushdown=enabled,
+                fixtures[layout], query_factory, repetitions=3, pushdown=enabled
             )
             per_mode[mode] = result
             if reference is None:

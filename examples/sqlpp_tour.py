@@ -99,8 +99,8 @@ def main() -> None:
     print()
     print("== Both executors agree ==")
     interpreted = store.query(figure11, executor="interpreted")
-    codegen = store.query(figure11, executor="codegen")
-    print("interpreted == codegen:", interpreted == codegen)
+    batch = store.query(figure11, executor="batch")
+    print("interpreted == batch:", interpreted == batch)
 
 
 if __name__ == "__main__":

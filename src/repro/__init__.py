@@ -4,8 +4,8 @@ A pure-Python reproduction of the VLDB 2022 paper by Alkowaileet and Carey.
 The package implements a schemaless LSM-based document store whose on-disk
 components can use row-major layouts (``open``, ``vector``) or the paper's
 columnar layouts (``apax``, ``amax``), built on an extended Dremel format with
-union types, plus an analytical query engine with interpreted and
-code-generating executors.
+union types, plus an analytical query engine with an interpreted (oracle)
+and a batch-vectorized executor.
 
 Quickstart::
 

@@ -17,6 +17,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 from ..datasets import make_generator
 from ..lsm.component import ALL_LAYOUTS
 from ..query import Query
+from ..query.executor import DEFAULT_EXECUTOR
 from ..store import Datastore, StoreConfig
 
 LAYOUTS = list(ALL_LAYOUTS)  # open, vector, apax, amax
@@ -170,7 +171,7 @@ def resolve_query(
 def run_query(
     fixture: LayoutFixture,
     query_factory: "Callable[[str], Query] | str",
-    executor: str = "codegen",
+    executor: str = DEFAULT_EXECUTOR,
     repetitions: int = 1,
     pushdown: bool = True,
 ) -> QueryResult:

@@ -66,10 +66,6 @@ class SqlppError(QueryError):
         self.column = column
 
 
-class CodegenError(QueryError):
-    """Raised when code generation fails for a pipeline segment."""
-
-
 class DatasetError(ReproError):
     """Raised when a dataset (collection) is missing or misconfigured."""
 

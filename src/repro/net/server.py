@@ -86,7 +86,7 @@ class EngineSessionHandler:
     # -- ops ---------------------------------------------------------------------------
     def _op_statement(self, request: dict) -> Tuple[Optional[list], dict]:
         text = request["text"]
-        executor = request.get("executor", "codegen")
+        executor = request.get("executor")
         pushdown = request.get("pushdown", True)
         batch_size = request.get("batch_size")
         before = self.store.io_snapshot()
@@ -182,13 +182,13 @@ class EngineSessionHandler:
             else:
                 text = split.local_query.explain(
                     self.store,
-                    executor=request.get("executor", "codegen"),
+                    executor=request.get("executor"),
                     analyze=request.get("analyze", False),
                 )
             return None, {"type": "done", "text": text}
         text = self.store.explain(
             request["text"],
-            executor=request.get("executor", "codegen"),
+            executor=request.get("executor"),
             analyze=request.get("analyze", False),
         )
         return None, {"type": "done", "text": text}

@@ -57,7 +57,7 @@ class StatementSession:
     def execute(
         self,
         text: str,
-        executor: str = "codegen",
+        executor: Optional[str] = None,
         explain: bool = False,
         pushdown: bool = True,
         batch_size: Optional[int] = None,

@@ -1,7 +1,6 @@
-"""Analytical query engine: expressions, plans, interpreted and code-generating executors."""
+"""Analytical query engine: expressions, plans, the interpreted and batch executors."""
 
 from ..model.errors import UnknownFunctionError
-from .codegen import GeneratedPipeline, generate_pipeline
 from .executor import execute_plan
 from .expressions import (
     And,
@@ -28,7 +27,6 @@ __all__ = [
     "CostModel",
     "DatasetStatistics",
     "Field",
-    "GeneratedPipeline",
     "Literal",
     "OptimizerReport",
     "Or",
@@ -41,7 +39,6 @@ __all__ = [
     "attach_pushdown",
     "collect_dataset_statistics",
     "execute_plan",
-    "generate_pipeline",
     "lift",
     "optimize_plan",
     "register_function",

@@ -12,7 +12,7 @@ instead of rows.  The source comes in two flavours:
   the array's definition levels give per-record element counts, the element
   paths become per-*element* value vectors keyed by the unnest variable, and
   the record vectors are fanned out by a row-index vector — such batches are
-  marked ``unnested`` and both batch executors skip the operator for them.
+  marked ``unnested`` and the pipeline skips the operator for them.
   Direct scans are only taken when they are provably equivalent to the
   reconciled row scan: the partition's memtables must be empty, every
   component must be columnar with the pruned paths flat — or, for the
@@ -46,11 +46,10 @@ from .batch import ColumnBatch
 from . import kernels
 from .executor import (
     DEFAULT_BATCH_SIZE,
-    _Aggregator,
-    _hashable,
-    _none_if_missing,
+    GroupTable,
+    aggregate_results,
+    new_aggregators,
     op_span_name,
-    rep_ranks,
     run_breakers,
     source_rows,
     traced_batch_source,
@@ -66,6 +65,7 @@ from .expressions import (
     Or,
     Var,
     join_key,
+    missing_to_none,
 )
 from .plan import (
     AggregateNode,
@@ -545,12 +545,10 @@ def run_batch_pipeline(
     finally:
         if tracing:
             for op, rows_out, seconds in zip(pipeline, counts, elapsed):
-                record_span(
-                    op_span_name(op),
-                    seconds,
-                    rows_out=rows_out,
-                    **_pushed_attr(op, pushed),
-                )
+                # The UNNEST every partition's direct scan performed is
+                # marked ``pushed``.
+                attrs = {"pushed": True} if op is pushed else {}
+                record_span(op_span_name(op), seconds, rows_out=rows_out, **attrs)
 
 
 def _run_batch_pipeline(
@@ -605,8 +603,7 @@ def _run_batch_pipeline(
 
 
 def _batch_group_by(batches: Iterable[ColumnBatch], node: GroupByNode) -> List[dict]:
-    groups: Dict[tuple, List[_Aggregator]] = {}
-    key_values: Dict[tuple, tuple] = {}
+    table = GroupTable(lambda: new_aggregators(node.aggregates))
     for batch in batches:
         key_vectors = [
             expression.evaluate_batch(batch) for _, expression in node.keys
@@ -616,32 +613,19 @@ def _batch_group_by(batches: Iterable[ColumnBatch], node: GroupByNode) -> List[d
             for _, _, expression in node.aggregates
         ]
         for index in range(batch.length):
-            raw = tuple(vector[index] for vector in key_vectors)
-            key = tuple(_hashable(value) for value in raw)
-            aggregators = groups.get(key)
-            if aggregators is None:
-                aggregators = [
-                    _Aggregator(function) for _, function, _ in node.aggregates
-                ]
-                groups[key] = aggregators
-                key_values[key] = raw
-            elif rep_ranks(raw) < rep_ranks(key_values[key]):
-                key_values[key] = raw
+            aggregators = table.state(
+                tuple(vector[index] for vector in key_vectors)
+            )
             for aggregator, vector in zip(aggregators, agg_vectors):
                 aggregator.add(None if vector is None else vector[index])
-    results = []
-    for key, aggregators in groups.items():
-        row = {}
-        for (name, _), value in zip(node.keys, key_values[key]):
-            row[name] = None if value is MISSING else value
-        for (name, _, _), aggregator in zip(node.aggregates, aggregators):
-            row[name] = aggregator.result()
-        results.append(row)
-    return results
+    return table.rows(
+        [name for name, _ in node.keys],
+        lambda aggregators: aggregate_results(node.aggregates, aggregators),
+    )
 
 
 def _batch_aggregate(batches: Iterable[ColumnBatch], node: AggregateNode) -> List[dict]:
-    aggregators = [_Aggregator(function) for _, function, _ in node.aggregates]
+    aggregators = new_aggregators(node.aggregates)
     specs = list(zip(aggregators, node.aggregates))
     for batch in batches:
         for aggregator, (_, _, expression) in specs:
@@ -654,12 +638,7 @@ def _batch_aggregate(batches: Iterable[ColumnBatch], node: AggregateNode) -> Lis
                 kernels.aggregate_add_many(
                     aggregator, expression.evaluate_batch(batch)
                 )
-    return [
-        {
-            name: aggregator.result()
-            for (name, _, _), aggregator in zip(node.aggregates, aggregators)
-        }
-    ]
+    return [aggregate_results(node.aggregates, aggregators)]
 
 
 def _batch_project(batches: Iterable[ColumnBatch], node: ProjectNode) -> List[dict]:
@@ -671,7 +650,7 @@ def _batch_project(batches: Iterable[ColumnBatch], node: ProjectNode) -> List[di
         ]
         for index in range(batch.length):
             rows.append(
-                {name: _none_if_missing(vector[index]) for name, vector in vectors}
+                {name: missing_to_none(vector[index]) for name, vector in vectors}
             )
     return rows
 
@@ -710,24 +689,14 @@ def run_batch_breakers(batches: Iterable[ColumnBatch], breakers: List) -> List[d
 
 
 def run_batch_plan(
-    store,
-    plan: QueryPlan,
-    fused: bool = False,
-    batch_size: Optional[int] = None,
+    store, plan: QueryPlan, batch_size: Optional[int] = None
 ) -> List[dict]:
-    """Execute a plan end-to-end over column batches.
-
-    ``fused=False`` is the vector-at-a-time ``"batch"`` executor;
-    ``fused=True`` is the ``"codegen"`` executor, which compiles the whole
-    pipelining prefix into one generated per-batch function
-    (:func:`repro.query.codegen.run_generated_batches`).
-    """
+    """Execute a plan end-to-end over column batches (the ``"batch"`` executor)."""
     size = batch_size or DEFAULT_BATCH_SIZE
     fallbacks: List[str] = []
     batches = source_batches(store, plan, size, fallbacks)
-    tracing = current_trace() is not None
     pushed = None
-    if tracing:
+    if current_trace() is not None:
         attrs = {}
         if isinstance(plan.source, DataScanNode):
             # Snapshots are pinned (and each partition's path chosen) by the
@@ -741,22 +710,5 @@ def run_batch_plan(
                     op for op in plan.pipeline if isinstance(op, UnnestNode)
                 )
         batches = traced_batch_source(batches, plan.source, **attrs)
-    if fused:
-        from .codegen import run_generated_batches
-
-        if tracing:
-            # The fused pipeline runs as one generated function, so per-op
-            # timings are unobservable; marker spans keep every plan node
-            # represented exactly once in the trace.
-            for op in plan.pipeline:
-                record_span(op_span_name(op), 0.0, fused=True, **_pushed_attr(op, pushed))
-        piped = run_generated_batches(batches, plan)
-    else:
-        piped = run_batch_pipeline(batches, plan.pipeline, pushed)
+    piped = run_batch_pipeline(batches, plan.pipeline, pushed)
     return run_batch_breakers(piped, plan.breakers)
-
-
-def _pushed_attr(op, pushed) -> dict:
-    """Span attrs of a pipeline operator: the UNNEST every partition's direct
-    scan performed is marked ``pushed``."""
-    return {"pushed": True} if op is pushed else {}

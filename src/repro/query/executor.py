@@ -1,13 +1,15 @@
 """Query execution: the interpreted engine, the pipeline breakers, and sources.
 
-Two executors share the same sources and breakers:
+Two executors share the same plans, sources and breaker semantics:
 
 * the **interpreted** executor mimics AsterixDB's Hyracks model as described in
   §5: operators process a *batch* of tuples at a time and materialize the
   batch between operators (the per-tuple interpretation and materialization
-  overheads are exactly what made Q2-Interpreted slow in Figure 10);
-* the **code-generating** executor (:mod:`repro.query.codegen`) fuses the
-  pipelining operators into one generated Python function.
+  overheads are exactly what made Q2-Interpreted slow in Figure 10).  It is
+  the correctness oracle every other path is diffed against;
+* the **batch** executor (:mod:`repro.query.batch_executor`, the default)
+  exchanges column batches between operators and evaluates whole expression
+  vectors per batch.
 
 Both stop at pipeline breakers (GROUP BY / ORDER BY / aggregate), which are
 executed by the shared engine code below.
@@ -21,7 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 from ..model.errors import QueryError
 from ..model.values import MISSING
 from ..obs import annotate, current_trace, record_span, span
-from .expressions import Expression, Subquery, join_key, truthy
+from .expressions import Expression, Subquery, join_key, missing_to_none, truthy
 from .plan import (
     AggregateNode,
     AssignNode,
@@ -42,24 +44,38 @@ from .plan import (
 #: Batch size of the interpreted (Hyracks-like) executor.
 INTERPRETED_BATCH_SIZE = 256
 
-#: Rows per :class:`~repro.query.batch.ColumnBatch` in the batch executors.
+#: Rows per :class:`~repro.query.batch.ColumnBatch` in the batch executor.
 DEFAULT_BATCH_SIZE = 1024
 
-#: Executor names accepted by :func:`execute_plan` (``codegen-batch`` is the
-#: explicit spelling of the default fused batch mode).
-EXECUTORS = ("interpreted", "batch", "codegen", "codegen-batch")
+#: Executor names accepted by :func:`execute_plan`: the oracle and the fast path.
+EXECUTORS = ("interpreted", "batch")
+
+#: What ``executor=None`` means at every entry point (builder, SQL++, shell,
+#: wire server, shard coordinator) — they all pass None through to here.
+DEFAULT_EXECUTOR = "batch"
 
 
-def describe_executor(executor: str, batch_size: Optional[int] = None) -> str:
+def resolve_executor(executor: Optional[str]) -> str:
+    """The executor a request names: None is the default, anything outside
+    :data:`EXECUTORS` a :class:`~repro.model.errors.QueryError`.
+
+    Entry points call this before doing any work, so a bad name (which can
+    arrive verbatim from a wire request) never costs a scan.
+    """
+    if executor is None:
+        return DEFAULT_EXECUTOR
+    if executor not in EXECUTORS:
+        raise QueryError(
+            f"unknown executor {executor!r}; one of: " + ", ".join(EXECUTORS)
+        )
+    return executor
+
+
+def describe_executor(executor: Optional[str]) -> str:
     """One EXPLAIN line describing how a plan will be executed."""
-    if executor == "interpreted":
+    if resolve_executor(executor) == "interpreted":
         return f"EXECUTOR interpreted (row batches of {INTERPRETED_BATCH_SIZE})"
-    size = batch_size or DEFAULT_BATCH_SIZE
-    if executor == "batch":
-        return f"EXECUTOR batch (column batches of {size})"
-    if executor in ("codegen", "codegen-batch"):
-        return f"EXECUTOR {executor} (fused column batches of {size})"
-    raise QueryError(f"unknown executor {executor!r}")
+    return f"EXECUTOR batch (column batches of {DEFAULT_BATCH_SIZE})"
 
 
 # -- sources ----------------------------------------------------------------------------
@@ -137,7 +153,7 @@ def source_rows(store, plan: QueryPlan) -> Iterator[dict]:
 def prepare_plan(store, plan: QueryPlan) -> None:
     """Resolve the plan's runtime state before execution (any executor).
 
-    Two responsibilities, shared by all three executors so they can never
+    Two responsibilities, shared by both executors so they can never
     disagree: point every :class:`~repro.query.expressions.Subquery` at the
     datastore (resetting uncorrelated caches), and build the hash table of
     every :class:`~repro.query.plan.JoinNode` by scanning its build side.
@@ -383,30 +399,69 @@ class _Aggregator:
         return self.maximum
 
 
-def _run_group_by(rows: Iterable[dict], node: GroupByNode) -> List[dict]:
-    groups: Dict[tuple, List[_Aggregator]] = {}
-    key_values: Dict[tuple, tuple] = {}
-    for row in rows:
-        raw = tuple(expression.evaluate(row) for _, expression in node.keys)
+class GroupTable:
+    """The one definition of GROUP BY group identity.
+
+    Key tuples with equal :func:`_hashable` forms are one group, shown as its
+    minimum member under :func:`rep_ranks` (see :func:`_rep_rank` for why).
+    The interpreted GROUP BY feeds it rows, the batch GROUP BY vector slots,
+    the shard coordinator's merge per-shard partial rows; each keeps its own
+    per-group state (``new_state()``) and says how to finish it.
+    """
+
+    def __init__(self, new_state) -> None:
+        self._new_state = new_state
+        #: hashable key -> [representative raw tuple, its rank, caller state]
+        self._groups: Dict[tuple, list] = {}
+
+    def state(self, raw: tuple):
+        """The state of the group ``raw`` belongs to (created on first sight)."""
         key = tuple(_hashable(value) for value in raw)
-        aggregators = groups.get(key)
-        if aggregators is None:
-            aggregators = [_Aggregator(function) for _, function, _ in node.aggregates]
-            groups[key] = aggregators
-            key_values[key] = raw
-        elif rep_ranks(raw) < rep_ranks(key_values[key]):
-            key_values[key] = raw
+        rank = rep_ranks(raw)
+        entry = self._groups.get(key)
+        if entry is None:
+            entry = self._groups[key] = [raw, rank, self._new_state()]
+        elif rank < entry[1]:
+            entry[0] = raw
+            entry[1] = rank
+        return entry[2]
+
+    def rows(self, key_names: List[str], finish) -> List[dict]:
+        """One output row per group, in first-seen order: the representative
+        key values under ``key_names`` plus the columns ``finish(state)`` adds."""
+        results = []
+        for raw, _, state in self._groups.values():
+            row = {
+                name: missing_to_none(value) for name, value in zip(key_names, raw)
+            }
+            row.update(finish(state))
+            results.append(row)
+        return results
+
+
+def new_aggregators(aggregates) -> List[_Aggregator]:
+    return [_Aggregator(function) for _, function, _ in aggregates]
+
+
+def aggregate_results(aggregates, aggregators: List[_Aggregator]) -> dict:
+    return {
+        name: aggregator.result()
+        for (name, _, _), aggregator in zip(aggregates, aggregators)
+    }
+
+
+def _run_group_by(rows: Iterable[dict], node: GroupByNode) -> List[dict]:
+    table = GroupTable(lambda: new_aggregators(node.aggregates))
+    for row in rows:
+        aggregators = table.state(
+            tuple(expression.evaluate(row) for _, expression in node.keys)
+        )
         for aggregator, (_, _, expression) in zip(aggregators, node.aggregates):
             aggregator.add(None if expression is None else expression.evaluate(row))
-    results = []
-    for key, aggregators in groups.items():
-        row = {}
-        for (name, _), value in zip(node.keys, key_values[key]):
-            row[name] = None if value is MISSING else value
-        for (name, _, _), aggregator in zip(node.aggregates, aggregators):
-            row[name] = aggregator.result()
-        results.append(row)
-    return results
+    return table.rows(
+        [name for name, _ in node.keys],
+        lambda aggregators: aggregate_results(node.aggregates, aggregators),
+    )
 
 
 def _hashable(value):
@@ -455,16 +510,11 @@ def rep_ranks(values) -> tuple:
 
 
 def _run_aggregate(rows: Iterable[dict], node: AggregateNode) -> List[dict]:
-    aggregators = [_Aggregator(function) for _, function, _ in node.aggregates]
+    aggregators = new_aggregators(node.aggregates)
     for row in rows:
         for aggregator, (_, _, expression) in zip(aggregators, node.aggregates):
             aggregator.add(None if expression is None else expression.evaluate(row))
-    return [
-        {
-            name: aggregator.result()
-            for (name, _, _), aggregator in zip(node.aggregates, aggregators)
-        }
-    ]
+    return [aggregate_results(node.aggregates, aggregators)]
 
 
 def _run_window(rows: Iterable[dict], node: WindowNode) -> List[dict]:
@@ -545,7 +595,7 @@ def run_breakers(rows: Iterable[dict], breakers: List) -> List[dict]:
         elif isinstance(op, ProjectNode):
             materialized = [
                 {
-                    name: _none_if_missing(expression.evaluate(row))
+                    name: missing_to_none(expression.evaluate(row))
                     for name, expression in op.columns
                 }
                 for row in current
@@ -579,17 +629,13 @@ def _sort_key(value):
     return (3, str(value))
 
 
-def _none_if_missing(value):
-    return None if value is MISSING else value
-
-
 # -- entry point -----------------------------------------------------------------------------
 
 
 def execute_plan(
     store,
     plan: QueryPlan,
-    executor: str = "codegen",
+    executor: Optional[str] = None,
     batch_size: Optional[int] = None,
 ) -> List[dict]:
     """Execute a plan and return its result rows.
@@ -597,19 +643,25 @@ def execute_plan(
     Args:
         store: The datastore to run against.
         plan: A built (and possibly optimizer-rewritten) plan.
-        executor: ``"interpreted"`` runs the Hyracks-style row-at-a-time
-            engine (the correctness oracle); ``"batch"`` exchanges column
-            batches between operators (:mod:`repro.query.batch_executor`);
-            ``"codegen"`` (default; alias ``"codegen-batch"``) additionally
-            fuses the pipelining prefix of every batch into one generated
-            Python function (§5).  Breakers are shared.
-        batch_size: Rows per column batch for the batch executors
+        executor: ``"batch"`` (:data:`DEFAULT_EXECUTOR`, what None means)
+            exchanges column batches between operators
+            (:mod:`repro.query.batch_executor`); ``"interpreted"`` runs the
+            Hyracks-style row-at-a-time engine (the correctness oracle).
+            Breakers are shared.
+        batch_size: Rows per column batch for the batch executor
             (default :data:`DEFAULT_BATCH_SIZE`); ignored by
             ``"interpreted"``.
 
     Returns:
         The materialized result rows.
+
+    Raises:
+        QueryError: Unknown executor name, or a ``batch_size`` that is not a
+            positive int — both checked before any data is read.
     """
+    executor = resolve_executor(executor)
+    if batch_size is not None and (type(batch_size) is not int or batch_size <= 0):
+        raise QueryError(f"batch_size must be a positive integer, not {batch_size!r}")
     with span("execute", executor=executor):
         with span("prepare"):
             prepare_plan(store, plan)
@@ -619,13 +671,9 @@ def execute_plan(
                 rows = traced_row_source(rows, plan.source)
             piped = run_interpreted_pipeline(rows, plan.pipeline)
             result = run_breakers(piped, plan.breakers)
-        elif executor in ("batch", "codegen", "codegen-batch"):
+        else:
             from .batch_executor import run_batch_plan
 
-            result = run_batch_plan(
-                store, plan, fused=executor != "batch", batch_size=batch_size
-            )
-        else:
-            raise QueryError(f"unknown executor {executor!r}")
+            result = run_batch_plan(store, plan, batch_size=batch_size)
         annotate(rows_out=len(result))
         return result

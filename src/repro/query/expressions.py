@@ -5,15 +5,10 @@ values (the scan variable binds the whole document, ASSIGN/UNNEST bind more).
 Semantics follow SQL++/AsterixDB: a missing field yields MISSING, comparisons
 between incompatible types yield NULL (None), and NULL/MISSING filter
 predicates are treated as false.
-
-Every expression can also *compile itself to Python source*
-(:meth:`Expression.to_source`), which is how the code-generation executor
-(§5) builds its fused pipeline functions.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..model.errors import QueryError, UnknownFunctionError
@@ -37,9 +32,6 @@ class Expression:
         vector-aware subclasses override it to stay columnar.
         """
         return [self.evaluate(row) for row in batch.iter_rows()]
-
-    def to_source(self) -> str:  # pragma: no cover - interface
-        raise NotImplementedError
 
     def referenced_variables(self) -> set:
         return set()
@@ -105,9 +97,6 @@ class Literal(Expression):
     def evaluate_batch(self, batch) -> list:
         return [self.value] * batch.length
 
-    def to_source(self) -> str:
-        return repr(self.value)
-
     def __repr__(self) -> str:
         return f"Literal({self.value!r})"
 
@@ -123,9 +112,6 @@ class Var(Expression):
 
     def evaluate_batch(self, batch) -> list:
         return batch.var_values(self.name)
-
-    def to_source(self) -> str:
-        return f"_row[{self.name!r}]"
 
     def referenced_variables(self) -> set:
         return {self.name}
@@ -157,9 +143,6 @@ class Field(Expression):
             MISSING if value is MISSING or value is None else get_path(value, self.path)
             for value in self.base.evaluate_batch(batch)
         ]
-
-    def to_source(self) -> str:
-        return f"_get_path({self.base.to_source()}, {str(self.path)!r})"
 
     def referenced_variables(self) -> set:
         return self.base.referenced_variables()
@@ -297,11 +280,6 @@ class Compare(Expression):
         right = self.right.evaluate_batch(batch)
         return [compare_values(self.op, a, b) for a, b in zip(left, right)]
 
-    def to_source(self) -> str:
-        return (
-            f"_compare({self.op!r}, {self.left.to_source()}, {self.right.to_source()})"
-        )
-
     def referenced_variables(self) -> set:
         return self.left.referenced_variables() | self.right.referenced_variables()
 
@@ -337,9 +315,6 @@ class And(Expression):
             all(vector[index] is True for vector in vectors)
             for index in range(batch.length)
         ]
-
-    def to_source(self) -> str:
-        return "(" + " and ".join(f"({o.to_source()} is True)" for o in self.operands) + ")"
 
     def referenced_variables(self) -> set:
         out = set()
@@ -380,9 +355,6 @@ class Or(Expression):
             for index in range(batch.length)
         ]
 
-    def to_source(self) -> str:
-        return "(" + " or ".join(f"({o.to_source()} is True)" for o in self.operands) + ")"
-
     def referenced_variables(self) -> set:
         out = set()
         for operand in self.operands:
@@ -422,9 +394,6 @@ class InList(Expression):
         needles = self.needle.evaluate_batch(batch)
         collections = self.collection.evaluate_batch(batch)
         return [in_list(n, c) for n, c in zip(needles, collections)]
-
-    def to_source(self) -> str:
-        return f"_in_list({self.needle.to_source()}, {self.collection.to_source()})"
 
     def referenced_variables(self) -> set:
         return (
@@ -496,12 +465,6 @@ def _fn_array_pairs(value):
     return pairs
 
 
-def _fn_some_satisfies(array, predicate):
-    if not isinstance(array, (list, tuple)):
-        return False
-    return any(predicate(item) is True for item in array)
-
-
 def _fn_coalesce(*values):
     for value in values:
         if value is not MISSING and value is not None:
@@ -524,10 +487,10 @@ FUNCTIONS: Dict[str, Callable] = {
 def register_function(name: str, fn: Callable) -> None:
     """Register (or replace) a scalar function usable from ``Call`` and SQL++.
 
-    The registry is shared by the interpreted evaluator, the code-generating
-    executor, and the SQL++ frontend, so a function registered here is
-    immediately callable from all three.  Arguments arrive with MISSING
-    already normalized to None (as for the built-ins).
+    The registry is shared by both executors and the SQL++ frontend, so a
+    function registered here is immediately callable from all of them.
+    Arguments arrive with MISSING already normalized to None (as for the
+    built-ins).
 
     Args:
         name: Function name; matched case-insensitively by the SQL++ parser,
@@ -574,12 +537,6 @@ class Call(Expression):
             for values in zip(*vectors)
         ]
 
-    def to_source(self) -> str:
-        arguments = ", ".join(
-            f"_missing_to_none({argument.to_source()})" for argument in self.arguments
-        )
-        return f"_functions[{self.function!r}]({arguments})"
-
     def referenced_variables(self) -> set:
         out = set()
         for argument in self.arguments:
@@ -625,14 +582,6 @@ class SomeSatisfies(Expression):
                 return True
         return False
 
-    def to_source(self) -> str:
-        # The generated code re-binds the item variable inside a generator.
-        return (
-            f"_some_satisfies({self.array.to_source()}, "
-            f"lambda _item, _row=_row: _eval_with(_row, {self.item_var!r}, _item, "
-            f"lambda _row: {self.predicate.to_source()}))"
-        )
-
     def referenced_variables(self) -> set:
         return self.array.referenced_variables() | (
             self.predicate.referenced_variables() - {self.item_var}
@@ -657,10 +606,6 @@ class SomeSatisfies(Expression):
         return (
             f"SomeSatisfies({self.array!r}, {self.item_var!r}, {self.predicate!r})"
         )
-
-
-#: Live subquery expressions, addressable from generated code by token.
-_SUBQUERY_REGISTRY: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
 
 class Subquery(Expression):
@@ -696,8 +641,6 @@ class Subquery(Expression):
         self._plan = None
         self._cache = None
         self._cache_valid = False
-        self._token = f"sq{id(self)}"
-        _SUBQUERY_REGISTRY[self._token] = self
 
     def bind_store(self, store) -> None:
         """Point the inner query at ``store`` and reset the uncorrelated cache."""
@@ -749,9 +692,6 @@ class Subquery(Expression):
             return rows[0] if rows else None
         return rows
 
-    def to_source(self) -> str:
-        return f"_subquery({self._token!r}, _row)"
-
     def referenced_variables(self) -> set:
         return set(self.correlated)
 
@@ -769,40 +709,10 @@ class Subquery(Expression):
         return f"Subquery({kind}{self.compiled.text.strip()!r}{tail})"
 
 
-def _codegen_subquery(token: str, row: Tuple_):
-    subquery = _SUBQUERY_REGISTRY.get(token)
-    if subquery is None:  # pragma: no cover - plans keep their expressions alive
-        raise QueryError("subquery expression is no longer alive")
-    return subquery.evaluate(row)
-
-
-# -- evaluation helpers exposed to generated code ----------------------------------------
-
-
 def missing_to_none(value):
     return None if value is MISSING else value
-
-
-def eval_with(row: Tuple_, name: str, value, body):
-    inner = dict(row)
-    inner[name] = value
-    return body(inner)
 
 
 def truthy(value) -> bool:
     """Predicate semantics: only ``True`` passes a filter (NULL/MISSING do not)."""
     return value is True
-
-
-CODEGEN_GLOBALS = {
-    "_get_path": get_path,
-    "_compare": compare_values,
-    "_functions": FUNCTIONS,
-    "_missing_to_none": missing_to_none,
-    "_some_satisfies": _fn_some_satisfies,
-    "_eval_with": eval_with,
-    "_join_key": join_key,
-    "_in_list": in_list,
-    "_subquery": _codegen_subquery,
-    "MISSING": MISSING,
-}

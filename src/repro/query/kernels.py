@@ -1,7 +1,7 @@
-"""Vectorized kernels shared by the batch executors.
+"""Vectorized kernels of the batch executor.
 
-The batch executor (:mod:`repro.query.batch_executor`) and the fused batch
-code generator exchange plain Python lists as column vectors.  The kernels in
+The batch executor (:mod:`repro.query.batch_executor`) exchanges plain Python
+lists as column vectors.  The kernels in
 this module are the only place the optional NumPy dependency is touched: when
 NumPy is importable (and not disabled via ``REPRO_DISABLE_NUMPY``), homogeneous
 fixed-width vectors take vectorized fast paths; otherwise — or for vectors the

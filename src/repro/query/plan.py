@@ -652,7 +652,7 @@ class Query:
     def execute(
         self,
         store,
-        executor: str = "codegen",
+        executor: Optional[str] = None,
         pushdown: bool = True,
         optimize: Optional[bool] = None,
         batch_size: Optional[int] = None,
@@ -661,9 +661,9 @@ class Query:
 
         Args:
             store: The :class:`~repro.store.datastore.Datastore` to query.
-            executor: ``"codegen"`` (fused pipeline over column batches, §5),
-                ``"batch"`` (the same column batches, operator-at-a-time), or
-                ``"interpreted"`` (row-at-a-time oracle).
+            executor: ``"batch"`` (vector-at-a-time over column batches; what
+                None means, :data:`~repro.query.executor.DEFAULT_EXECUTOR`)
+                or ``"interpreted"`` (row-at-a-time oracle).
             pushdown: ``False`` disables the scan-pushdown rewrite (every
                 layout then assembles full projected documents and filters
                 tuple-at-a-time), which is what the differential tests and
@@ -671,15 +671,16 @@ class Query:
             optimize: ``False`` skips cost-based access-path selection,
                 ``True`` forces it; the default (None) follows ``pushdown``,
                 so baseline comparisons stay rewrite-free end to end.
-            batch_size: Rows per column batch for the batch executors
+            batch_size: Rows per column batch for the batch executor
                 (default :data:`~repro.query.executor.DEFAULT_BATCH_SIZE`).
 
         Returns:
             The result rows as a list of dicts.
         """
         from ..obs import span
-        from .executor import execute_plan
+        from .executor import execute_plan, resolve_executor
 
+        executor = resolve_executor(executor)  # reject a bad name before planning
         if optimize is None:
             optimize = pushdown
         with span("optimize", cost_based=bool(optimize and self._index is None)):
@@ -694,7 +695,7 @@ class Query:
         store=None,
         pushdown: bool = True,
         analyze: bool = False,
-        executor: str = "codegen",
+        executor: Optional[str] = None,
     ) -> str:
         """Render the query plan, optionally with costs and actual row counts.
 
@@ -708,8 +709,7 @@ class Query:
             analyze: Additionally *execute* every candidate access path and
                 report estimated vs. actual row counts (requires ``store``).
             executor: Which executor the final EXECUTOR line describes
-                (``"codegen"``, ``"batch"``, or ``"interpreted"`` — the same
-                values :meth:`execute` accepts).
+                (the same values :meth:`execute` accepts).
 
         Returns:
             A multi-line, human-readable plan description.
@@ -722,7 +722,7 @@ class Query:
               PUSHDOWN paths=[a]; predicates=[a == 1]
             FILTER Compare(Field(Var('t'), 'a') == Literal(1))
             AGGREGATE count=count(*)
-            EXECUTOR codegen (fused column batches of 1024)
+            EXECUTOR batch (column batches of 1024)
         """
         from .executor import describe_executor
 

@@ -50,7 +50,7 @@ from ..obs import (
     render_trace,
     span,
 )
-from ..query.executor import run_breakers
+from ..query.executor import resolve_executor, run_breakers
 from ..storage.stats import IOStats
 from .partial import SplitPlan, merge_rows, referenced_datasets, split_query
 
@@ -268,15 +268,17 @@ class ShardedDatastore:
 
     # -- observability -----------------------------------------------------------------
     @contextmanager
-    def traced_statement(self, text: str, executor: str = "codegen",
+    def traced_statement(self, text: str, executor: Optional[str] = None,
                          query_id: Optional[str] = None):
         """Trace one coordinator statement (the distributed counterpart of
         :meth:`repro.store.datastore.Datastore.traced_statement`).
 
         Yields None when observability is off; re-yields the active trace
         when called reentrantly.  On exit records the query counter/latency
-        histogram and publishes ``self.last_trace``.
+        histogram and publishes ``self.last_trace``.  An unknown ``executor``
+        is rejected here, before anything is sent to a shard.
         """
+        executor = resolve_executor(executor)  # also the metrics label
         if not self.metrics.enabled:
             yield None
             return
@@ -320,7 +322,7 @@ class ShardedDatastore:
     def query(
         self,
         text: str,
-        executor: str = "codegen",
+        executor: Optional[str] = None,
         pushdown: bool = True,
         batch_size: Optional[int] = None,
         query_id: Optional[str] = None,
@@ -466,7 +468,7 @@ class ShardedDatastore:
         return rows
 
     def explain(
-        self, text: str, executor: str = "codegen", analyze: bool = False
+        self, text: str, executor: Optional[str] = None, analyze: bool = False
     ) -> str:
         """Render the distributed plan: merge fragment + one shard's fragment."""
         from ..sqlpp import compile_query
@@ -722,7 +724,7 @@ class CoordinatorSessionHandler:
                 "partial mode is shard-side only; the coordinator runs the merge"
             )
         text = request["text"]
-        executor = request.get("executor", "codegen")
+        executor = request.get("executor")
         statement = parse_any(text)
         before = self.sharded.io_snapshot()
         rows = status = sequence = explain_text = scatter = None
@@ -807,7 +809,7 @@ class CoordinatorSessionHandler:
     def _op_explain(self, request: dict) -> Tuple[Optional[list], dict]:
         text = self.sharded.explain(
             request["text"],
-            executor=request.get("executor", "codegen"),
+            executor=request.get("executor"),
             analyze=request.get("analyze", False),
         )
         return None, {"type": "done", "text": text}

@@ -51,7 +51,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..query.executor import _hashable, rep_ranks
+from ..query.executor import GroupTable
 from ..query.expressions import Field, Subquery, Var
 from ..query.plan import (
     AggregateNode,
@@ -405,35 +405,22 @@ def merge_rows(split: SplitPlan, shard_rows: List[List[dict]]) -> List[dict]:
         return [
             {merge.name: _finalize(merge, columns) for merge in split.aggregates}
         ]
-    # groupby: merge partial groups by key tuple.  ``_hashable`` conflates
-    # 1 / 1.0 / True (and MISSING/None), so groups split across shards can
-    # carry *different* raw representatives; picking the minimum under
-    # ``rep_ranks`` — the same total order each shard's GROUP BY used — makes
-    # the merged representative independent of shard arrival order and equal
-    # to the single-process oracle's choice (min is associative).
-    groups: Dict[tuple, list] = {}  # key -> [key_values, columns, raw key tuple]
-    order: List[tuple] = []
+    # groupby: merge partial groups by key.  Groups split across shards can
+    # carry *different* raw representatives of one conflated key (1 / 1.0 /
+    # True); the shared GroupTable picks the same minimum each shard's GROUP
+    # BY did, so the merged representative is independent of shard arrival
+    # order and equal to the single-process oracle's choice (min is
+    # associative).
+    table = GroupTable(dict)  # per group: partial column -> per-shard values
     for rows in shard_rows:
         for row in rows:
-            raw = tuple(row[name] for name in split.key_names)
-            key = tuple(_hashable(value) for value in raw)
-            entry = groups.get(key)
-            if entry is None:
-                entry = [dict(zip(split.key_names, raw)), {}, raw]
-                groups[key] = entry
-                order.append(key)
-            elif rep_ranks(raw) < rep_ranks(entry[2]):
-                entry[0] = dict(zip(split.key_names, raw))
-                entry[2] = raw
-            columns = entry[1]
+            columns = table.state(tuple(row[name] for name in split.key_names))
             for merge in split.aggregates:
                 for column in merge.columns:
                     columns.setdefault(column, []).append(row[column])
-    results: List[dict] = []
-    for key in order:
-        key_values, columns, _ = groups[key]
-        merged_row = dict(key_values)
-        for merge in split.aggregates:
-            merged_row[merge.name] = _finalize(merge, columns)
-        results.append(merged_row)
-    return results
+    return table.rows(
+        split.key_names,
+        lambda columns: {
+            merge.name: _finalize(merge, columns) for merge in split.aggregates
+        },
+    )

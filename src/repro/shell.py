@@ -20,7 +20,7 @@ session:
 ``\\d``          List datasets (layout, record count).
 ``\\explain``    Toggle printing the optimizer-explained plan per query.
 ``\\timing``     Toggle printing wall-clock time per query.
-``\\executor``   Show or set the executor (codegen / batch / interpreted).
+``\\executor``   Show or set the executor (interpreted / batch, the default).
 ``\\trace``      Show the last query's span tree (``\\trace json`` for JSON).
 ``\\metrics``    Dump the server's Prometheus metrics text.
 ``\\q``          Quit.
@@ -44,6 +44,7 @@ from typing import List, Optional
 
 from .model.errors import ReproError
 from .model.values import MISSING
+from .query.executor import DEFAULT_EXECUTOR, EXECUTORS, resolve_executor
 from .store import Datastore, StoreConfig
 
 #: The quickstart demo collection (the paper's Figure 4 video-gamer records).
@@ -146,7 +147,7 @@ class Shell:
         self.err = err or sys.stderr
         self.show_explain = False
         self.show_timing = False
-        self.executor = "codegen"
+        self.executor = DEFAULT_EXECUTOR
         #: Serialized span tree of the last query statement (for ``\\trace``).
         self.last_trace: Optional[dict] = None
         self.session = None
@@ -184,7 +185,7 @@ class Shell:
                 "\\timing       toggle query timing (currently "
                 f"{'on' if self.show_timing else 'off'})\n"
                 "\\executor [NAME]  show or set the executor (currently "
-                f"{self.executor}; codegen | batch | interpreted)\n"
+                f"{self.executor}; {' | '.join(EXECUTORS)})\n"
                 "\\trace [json] show the last query's span tree "
                 "(json: raw trace export)\n"
                 "\\metrics      dump Prometheus metrics text\n"
@@ -248,19 +249,13 @@ class Shell:
             else:
                 self.print(self.store.metrics_text().rstrip("\n"))
         elif command == "\\executor":
-            from .query.executor import EXECUTORS
-
             rest = line.split(" ", 1)[1].strip() if " " in line else ""
-            if not rest:
-                self.print(f"executor is {self.executor}")
-            elif rest in EXECUTORS:
-                self.executor = rest
-                self.print(f"executor is {self.executor}")
-            else:
-                self.print_error(
-                    f"unknown executor {rest!r}; one of: " + ", ".join(EXECUTORS)
-                )
+            try:
+                self.executor = resolve_executor(rest or self.executor)
+            except ReproError as exc:
+                self.print_error(str(exc))
                 return 1 if self.batch else None
+            self.print(f"executor is {self.executor}")
         else:
             self.print_error(f"unknown command {command!r}; try \\help")
             return 1 if self.batch else None

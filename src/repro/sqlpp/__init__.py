@@ -31,7 +31,7 @@ Example:
     GROUPBY keys=[t=Var('t')] aggregates=[cnt=count(*)]
     ORDERBY cnt DESC
     LIMIT 10
-    EXECUTOR codegen (fused column batches of 1024)
+    EXECUTOR batch (column batches of 1024)
 """
 
 from ..model.errors import SqlppError, UnknownFunctionError

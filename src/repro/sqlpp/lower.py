@@ -17,8 +17,8 @@ from typing import List, Optional, Tuple
 from typing import Set
 
 from ..model.errors import QueryError, SqlppError
-from ..model.values import MISSING
-from ..query.expressions import Expression, Subquery, Var
+from ..query.executor import resolve_executor
+from ..query.expressions import Expression, Subquery, Var, missing_to_none
 from ..query.plan import AGGREGATE_FUNCTIONS, Query, QueryPlan, WINDOW_FUNCTIONS
 from . import ast
 from .binder import Scope, bind_expression
@@ -53,15 +53,16 @@ class CompiledQuery:
     def execute(
         self,
         store=None,
-        executor: str = "codegen",
+        executor: Optional[str] = None,
         pushdown: bool = True,
         optimize: Optional[bool] = None,
         batch_size: Optional[int] = None,
     ) -> list:
         """Run the query; returns rows (dicts), or bare values for SELECT VALUE."""
+        executor = resolve_executor(executor)  # FROM-less statements check it too
         if self.query is None:
             row = {
-                name: _none_if_missing(expression.evaluate({}))
+                name: missing_to_none(expression.evaluate({}))
                 for name, expression in self.constant_columns
             }
             rows = [row]
@@ -88,9 +89,10 @@ class CompiledQuery:
         store=None,
         pushdown: bool = True,
         analyze: bool = False,
-        executor: str = "codegen",
+        executor: Optional[str] = None,
     ) -> str:
         """Render the plan (with costs/alternatives when a store is given)."""
+        executor = resolve_executor(executor)
         if self.query is None:
             names = ", ".join(name for name, _ in self.constant_columns)
             return f"VALUES [{names}] (no datastore access)"
@@ -103,10 +105,6 @@ class CompiledQuery:
         if self.query is None:
             raise QueryError("FROM-less statements have no dataset plan")
         return self.query.build_plan(pushdown=pushdown)
-
-
-def _none_if_missing(value):
-    return None if value is MISSING else value
 
 
 def compile_query(text: str) -> CompiledQuery:
@@ -122,7 +120,7 @@ def compile_query(text: str) -> CompiledQuery:
           PUSHDOWN paths=[a]; predicates=[a == 1]
         FILTER Compare(Field(Var('t'), 'a') == Literal(1))
         AGGREGATE count=count(*)
-        EXECUTOR codegen (fused column batches of 1024)
+        EXECUTOR batch (column batches of 1024)
     """
     from ..obs import span
 

@@ -457,7 +457,7 @@ class Dataset:
         executor=None,
         fallbacks: Optional[List[str]] = None,
     ) -> Iterator:
-        """Scan every partition as column batches for the batch executors.
+        """Scan every partition as column batches for the batch executor.
 
         Every partition's snapshot is pinned up front, exactly like
         :meth:`scan`.  With ``direct=True``, partitions whose pinned state

@@ -395,7 +395,7 @@ class Datastore:
     def traced_statement(
         self,
         text: str,
-        executor: str = "codegen",
+        executor: Optional[str] = None,
         query_id: Optional[str] = None,
     ) -> Iterator[Optional[QueryTrace]]:
         """Trace one statement: activates a fresh :class:`QueryTrace` on the
@@ -404,8 +404,12 @@ class Datastore:
 
         Yields None (and does nothing) when observability is off; re-yields
         the already-active trace when called reentrantly, so nested execution
-        layers never double-count a statement.
+        layers never double-count a statement.  An unknown ``executor`` is
+        rejected here, before the statement starts.
         """
+        from ..query.executor import resolve_executor
+
+        executor = resolve_executor(executor)  # also the metrics label
         if not self.config.observability:
             yield None
             return
@@ -465,7 +469,7 @@ class Datastore:
     def query(
         self,
         text: str,
-        executor: str = "codegen",
+        executor: Optional[str] = None,
         pushdown: bool = True,
         optimize: Optional[bool] = None,
         batch_size: Optional[int] = None,
@@ -479,13 +483,12 @@ class Datastore:
 
         Args:
             text: One SQL++ SELECT statement (a trailing ``;`` is optional).
-            executor: ``"codegen"`` (default, fused column batches),
-                ``"batch"`` (vectorized, unfused), or ``"interpreted"``
-                (row-at-a-time oracle).
+            executor: ``"batch"`` (vectorized column batches; what None
+                means) or ``"interpreted"`` (row-at-a-time oracle).
             pushdown: Disable to keep the assemble-then-filter baseline.
             optimize: Skip/force cost-based access-path selection
                 (default: follows ``pushdown``).
-            batch_size: Rows per column batch for the batch executors.
+            batch_size: Rows per column batch for the batch executor.
 
         Returns:
             Result rows as dicts — or bare values for ``SELECT VALUE``.
@@ -514,7 +517,7 @@ class Datastore:
         text: str,
         pushdown: bool = True,
         analyze: bool = False,
-        executor: str = "codegen",
+        executor: Optional[str] = None,
     ) -> str:
         """Explain a SQL++ statement: plan, chosen access path, alternatives.
 
@@ -523,8 +526,7 @@ class Datastore:
             pushdown: Attach the scan-pushdown spec before explaining.
             analyze: Also execute every candidate access path and report
                 estimated vs. actual row counts.
-            executor: Which executor the final EXECUTOR line describes
-                (``"codegen"``, ``"batch"``, or ``"interpreted"``).
+            executor: Which executor the final EXECUTOR line describes.
 
         Returns:
             A multi-line plan rendering (see :meth:`repro.query.plan.Query.explain`).

@@ -24,6 +24,11 @@ import pytest
 
 SEED_ENV = "REPRO_TEST_SEED"
 
+#: The deleted third executor's name — what a pre-PR-16 client may still send.
+#: Spelled here once for the tests that assert it is rejected (CI greps the
+#: rest of the tree for it).
+RETIRED_EXECUTOR = "codegen"
+
 #: Seeds used by the currently running test (cleared per test by the autouse
 #: fixture below; tests run sequentially in one process, so a module global
 #: is race-free).

@@ -29,7 +29,6 @@ MODULES_CHECKED = [
     "repro.query.stats",
     "repro.query.pushdown",
     "repro.query.executor",
-    "repro.query.codegen",
     "repro.query.batch",
     "repro.query.batch_executor",
     "repro.query.kernels",

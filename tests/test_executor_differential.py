@@ -1,11 +1,10 @@
-"""Three-way executor-differential fuzzing.
+"""Executor-differential fuzzing: batch against the interpreted oracle.
 
 A randomized SQL++ generator produces queries over a synthetic document
 collection, and every query runs under the interpreted (row-at-a-time
-oracle), batch (vectorized), and codegen (fused batch) executors, across all
-four storage layouts and with pushdown both enabled and disabled.  All six
-executor/pushdown combinations must return exactly the rows the oracle
-returns.
+oracle) and batch (vectorized) executors, across all four storage layouts
+and with pushdown both enabled and disabled.  Both batch/pushdown
+combinations must return exactly the rows the oracle returns.
 
 The corpus deliberately includes the adversarial shapes the batch kernels
 special-case: MISSING vs null fields, booleans stored next to numbers,
@@ -33,7 +32,6 @@ from repro.store import Datastore, StoreConfig
 from conftest import seeded_rng
 
 LAYOUTS = ("open", "vector", "apax", "amax")
-EXECUTORS = ("interpreted", "batch", "codegen")
 QUERIES_PER_LAYOUT = 200
 
 #: Paths that hold numbers (plus occasional null/MISSING) in every document
@@ -318,17 +316,14 @@ def test_executor_differential(fuzz_store):
     for index in range(QUERIES_PER_LAYOUT):
         text = generate_query(rng)
         oracle = _canonical(store.query(text, executor="interpreted"))
-        for executor in ("batch", "codegen"):
-            for pushdown in (True, False):
-                got = _canonical(
-                    store.query(text, executor=executor, pushdown=pushdown)
+        for pushdown in (True, False):
+            got = _canonical(store.query(text, executor="batch", pushdown=pushdown))
+            if got != oracle:
+                failures.append(
+                    f"[{layout}] query #{index} executor=batch "
+                    f"pushdown={pushdown}\n  {text}\n"
+                    f"  oracle={oracle[:4]}...\n  got   ={got[:4]}..."
                 )
-                if got != oracle:
-                    failures.append(
-                        f"[{layout}] query #{index} executor={executor} "
-                        f"pushdown={pushdown}\n  {text}\n"
-                        f"  oracle={oracle[:4]}...\n  got   ={got[:4]}..."
-                    )
     assert not failures, "\n".join(failures[:10]) + f"\n({len(failures)} divergences)"
 
 
@@ -373,13 +368,12 @@ def test_direct_scan_unnests_arrays_of_objects(fuzz_store):
     for array, columnar_mode in (("items", "direct"), ("mixed", "reconciled")):
         oracle = store.query(text.format(array), executor="interpreted")
         assert oracle[0]["c"] > 0
-        for executor in ("batch", "codegen"):
-            assert store.query(text.format(array), executor=executor) == oracle
-            scan = _find_span(store.last_trace.root, "DataScanNode")
-            expected = columnar_mode if layout in ("apax", "amax") else "reconciled"
-            assert scan.attrs["scan_mode"] == expected, (array, scan.attrs)
-            unnest = _find_span(store.last_trace.root, "UnnestNode")
-            assert unnest.attrs.get("pushed", False) is (expected == "direct")
+        assert store.query(text.format(array), executor="batch") == oracle
+        scan = _find_span(store.last_trace.root, "DataScanNode")
+        expected = columnar_mode if layout in ("apax", "amax") else "reconciled"
+        assert scan.attrs["scan_mode"] == expected, (array, scan.attrs)
+        unnest = _find_span(store.last_trace.root, "UnnestNode")
+        assert unnest.attrs.get("pushed", False) is (expected == "direct")
 
 
 def _find_span(node, name):

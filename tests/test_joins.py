@@ -15,7 +15,7 @@ from repro.model.errors import SqlppError
 from repro.store import Datastore, StoreConfig
 
 LAYOUTS = ("open", "vector", "apax", "amax")
-EXECUTORS = ("interpreted", "batch", "codegen")
+EXECUTORS = ("interpreted", "batch")
 
 USERS = [{"id": i, "name": f"u{i:02d}", "tier": i % 3} for i in range(8)]
 #: ``user`` ranges over 0..11 while only users 0..7 exist: some orders dangle

@@ -236,7 +236,7 @@ def _query_suite():
     ]
 
 
-@pytest.mark.parametrize("executor", ["codegen", "interpreted"])
+@pytest.mark.parametrize("executor", ["batch", "interpreted"])
 def test_query_suite_identical_across_layouts_and_pushdown(stores, executor):
     for query_factory in _query_suite():
         reference = None

@@ -29,6 +29,8 @@ from repro.net.protocol import (
 from repro.net.server import EngineSessionHandler, WireServer
 from repro.store import Datastore, StoreConfig
 
+from conftest import RETIRED_EXECUTOR
+
 
 # ======================================================================================
 # Protocol framing
@@ -169,6 +171,36 @@ def test_remote_errors_carry_the_engine_error_class(accounts_server):
         client.ping()
 
 
+@pytest.mark.parametrize(
+    "text, options",
+    [
+        # What a pre-removal client would still send.
+        ("SELECT COUNT(*) AS n FROM accounts AS a;", {"executor": RETIRED_EXECUTOR}),
+        ("SELECT 1 AS one;", {"executor": RETIRED_EXECUTOR}),  # FROM-less checks it too
+        ("SELECT COUNT(*) AS n FROM accounts AS a;", {"batch_size": -1}),
+        ("SELECT COUNT(*) AS n FROM accounts AS a;", {"batch_size": "x"}),
+        ("SELECT COUNT(*) AS n FROM accounts AS a;", {"batch_size": 1.5}),
+    ],
+    ids=["old-client", "old-client-fromless", "negative", "string", "float"],
+)
+def test_bad_executor_or_batch_size_is_a_typed_error(accounts_server, text, options):
+    with accounts_server.connect() as client:
+        client.statement("INSERT INTO accounts {'id': 1, 'balance': 100};")
+        with pytest.raises(RemoteError) as err:
+            client.statement(text, **options)
+        assert err.value.code == "QueryError"
+        assert err.value.query_id
+        if "executor" in options:
+            assert "one of: interpreted, batch" in str(err.value)
+            with pytest.raises(RemoteError) as err:
+                client.explain(text, **options)
+            assert err.value.code == "QueryError"
+        # Neither a hang nor a silent fallback, and the connection is still usable.
+        assert client.statement(
+            "SELECT COUNT(*) AS n FROM accounts AS a;", batch_size=1
+        ).rows == [{"n": 1}]
+
+
 def test_transactions_are_per_connection(accounts_server):
     with accounts_server.connect() as c1, accounts_server.connect() as c2:
         assert c1.statement("BEGIN;").status == "BEGIN (transaction #1)"
@@ -262,9 +294,9 @@ def test_client_leaves_the_executor_to_the_server_unless_asked(accounts_server):
         client.request = recording
         text = "SELECT COUNT(*) AS n FROM accounts AS a;"
         assert client.statement(text).rows == [{"n": 0}]
-        assert "EXECUTOR codegen" in client.explain(text)  # the server default
+        assert "EXECUTOR batch" in client.explain(text)  # the server default
         assert client.statement(text, executor="interpreted").rows == [{"n": 0}]
-        assert "EXECUTOR batch" in client.explain(text, executor="batch")
+        assert "EXECUTOR interpreted" in client.explain(text, executor="interpreted")
         assert ["executor" in payload for payload in sent] == [False, False, True, True]
 
 

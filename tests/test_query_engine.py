@@ -8,8 +8,9 @@ from repro import Datastore, StoreConfig
 from repro.model import MISSING
 from repro.model.errors import QueryError
 from repro.query import And, Call, Compare, Field, Literal, Or, Query, SomeSatisfies, Var
-from repro.query.codegen import generate_pipeline
 from repro.query.expressions import compare_values
+
+from conftest import RETIRED_EXECUTOR
 
 
 @pytest.fixture(scope="module")
@@ -85,11 +86,6 @@ class TestExpressions:
         assert predicate.evaluate({"t": {"hashtags": []}}) is False
         assert predicate.evaluate({"t": {}}) is False
 
-    def test_codegen_source_round_trip(self):
-        expression = And(Field(Var("t"), "a") >= 1, Call("length", Field(Var("t"), "b")) == 1)
-        source = expression.to_source()
-        assert "_get_path" in source and "_compare" in source
-
 
 class TestOptimizer:
     def test_projection_pushdown_collects_top_fields(self):
@@ -121,12 +117,12 @@ class TestOptimizer:
 
 
 class TestExecutors:
-    @pytest.mark.parametrize("executor", ["codegen", "interpreted"])
+    @pytest.mark.parametrize("executor", ["batch", "interpreted"])
     def test_count(self, store, executor):
         result = Query("events", "e").count().execute(store, executor=executor)
         assert result == [{"count": 1000}]
 
-    @pytest.mark.parametrize("executor", ["codegen", "interpreted"])
+    @pytest.mark.parametrize("executor", ["batch", "interpreted"])
     def test_filter_and_group(self, store, executor):
         result = (
             Query("events", "e")
@@ -146,10 +142,10 @@ class TestExecutors:
             .group_by(key=("sku", Field(Var("i"), "sku")), aggregates=[("q", "sum", Field(Var("i"), "qty"))])
             .order_by("q", descending=True)
         )
-        generated = query.execute(store, executor="codegen")
+        batch = query.execute(store, executor="batch")
         interpreted = query.execute(store, executor="interpreted")
-        assert generated == interpreted
-        assert len(generated) == 7
+        assert batch == interpreted
+        assert len(batch) == 7
 
     def test_aggregates(self, store):
         result = (
@@ -201,45 +197,31 @@ class TestExecutors:
         with pytest.raises(QueryError):
             Query("events", "e").use_index("nope", 0, 1).count().execute(store)
 
-    def test_unknown_executor_rejected(self, store):
-        with pytest.raises(QueryError):
-            Query("events", "e").count().execute(store, executor="vectorized")
+    @pytest.mark.parametrize("name", ["vectorized", RETIRED_EXECUTOR, ""])
+    def test_unknown_executor_rejected_before_any_work(self, store, name):
+        before = store.io_snapshot()
+        join = "SELECT COUNT(*) AS n FROM events AS a JOIN events AS b ON a.id = b.id;"
+        for run in (
+            lambda: Query("events", "e").count().execute(store, executor=name),
+            lambda: store.query(join, executor=name),
+            lambda: store.query("SELECT 1 AS one;", executor=name),  # FROM-less
+            lambda: store.explain(join, executor=name),
+        ):
+            with pytest.raises(QueryError, match="one of: interpreted, batch"):
+                run()
+        # Rejected before the join's build side (or anything else) was read.
+        delta = store.io_stats.delta_since(before)
+        assert delta.pages_read + delta.cache_hits == 0
+
+    @pytest.mark.parametrize("batch_size", [-1, 0, 1.5, "x", True])
+    @pytest.mark.parametrize("executor", ["batch", "interpreted"])
+    def test_bad_batch_size_rejected(self, store, executor, batch_size):
+        text = "SELECT e.kind AS kind, COUNT(*) AS n FROM events AS e GROUP BY e.kind;"
+        with pytest.raises(QueryError, match="batch_size"):
+            store.query(text, executor=executor, batch_size=batch_size)
+        # A tiny but valid size still returns every group.
+        assert len(store.query(text, executor=executor, batch_size=1)) == 3
 
     def test_unknown_aggregate_rejected(self):
         with pytest.raises(QueryError):
             Query("events").aggregate([("x", "median", None)])
-
-
-class TestCodegen:
-    def test_generated_source_is_compilable_python(self, store):
-        query = (
-            Query("events", "e")
-            .assign("k", "kind")
-            .where(Var("k") == "click")
-            .unnest("i", "items")
-        )
-        generated = generate_pipeline(query.build_plan())
-        assert "def _generated_pipeline" in generated.source
-        assert "continue" in generated.source
-        rows = list(generated([{"e": {"kind": "click", "items": [{"sku": "a"}]}}]))
-        assert rows == [{"e": {"kind": "click", "items": [{"sku": "a"}]}, "k": "click", "i": {"sku": "a"}}]
-
-    def test_codegen_faster_or_equal_on_larger_input(self, store):
-        import time
-
-        query = (
-            Query("events", "e")
-            .unnest("i", "items")
-            .where(Field(Var("i"), "qty") >= 1)
-            .group_by(key=("sku", Field(Var("i"), "sku")), aggregates=[("n", "count", None)])
-        )
-        start = time.perf_counter()
-        generated_rows = query.execute(store, executor="codegen")
-        generated_time = time.perf_counter() - start
-        start = time.perf_counter()
-        interpreted_rows = query.execute(store, executor="interpreted")
-        interpreted_time = time.perf_counter() - start
-        assert sorted(map(str, generated_rows)) == sorted(map(str, interpreted_rows))
-        # Generated pipelines avoid per-operator materialization; allow a bit
-        # of noise but they should not be dramatically slower.
-        assert generated_time <= interpreted_time * 1.5

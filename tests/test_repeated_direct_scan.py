@@ -1,7 +1,7 @@
 """Assembly-free scans of repeated paths: the direct scan performs the UNNEST.
 
 Differential tests against the interpreted oracle, on both columnar layouts
-and both batch executors, over hand-built datasets that pin down each shape
+under the batch executor, over hand-built datasets that pin down each shape
 the repeated direct scan must either serve exactly or hand to the reconciling
 scan: missing / empty / null arrays, elements missing a field, null and scalar
 elements, nested arrays, a column inferred mid-flush (back-filled), anti-matter
@@ -25,7 +25,7 @@ from repro.query import Field, Query, Var
 from repro.store import Datastore, StoreConfig
 
 COLUMNAR = ("apax", "amax")
-FAST = ("batch", "codegen")
+FAST = ("batch",)
 
 #: The query shapes in scope, over ``d`` with ``readings`` / ``games`` arrays.
 QUERIES = (
@@ -123,7 +123,7 @@ def _canonical(rows):
 
 
 def check(store, queries=QUERIES, mode="direct", reason=None):
-    """Every query agrees with the oracle on both fast executors, having taken
+    """Every query agrees with the oracle on the fast executor, having taken
     the expected scan."""
     for text in queries:
         oracle = _canonical(store.query(text, executor="interpreted"))
@@ -203,7 +203,7 @@ def test_column_inferred_mid_flush_is_backfilled_not_miscounted(layout):
     store = build(layout, [(documents, ())])
     try:
         check(store)
-        (row,) = store.query(QUERIES[1], executor="codegen")
+        (row,) = store.query(QUERIES[1], executor="batch")
         assert row == {"hi": 9, "lo": 1, "c": 6}
     finally:
         store.close()

@@ -20,6 +20,7 @@ from repro.bench.queries import SQLPP_QUERY_SUITES
 from repro.datasets.generators import make_generator
 from repro.lsm.keys import stable_key_hash
 from repro.model.errors import QueryError
+from repro.model.values import MISSING
 from repro.query.executor import run_breakers
 from repro.query.plan import WindowNode
 from repro.shard import ShardCluster, shard_for_key, split_query
@@ -27,7 +28,7 @@ from repro.shard.partial import merge_rows
 from repro.sqlpp import compile_query
 from repro.store import Datastore, StoreConfig
 
-from conftest import seeded_rng
+from conftest import RETIRED_EXECUTOR, seeded_rng
 from test_executor_differential import _document, generate_query
 
 CELL_DOCS = list(make_generator("cell", 300, seed=11))
@@ -276,28 +277,51 @@ def test_merge_groupby_combines_groups_across_shards():
     assert by_key["z"] == {"g": "z", "n": 1, "a": 4.0}
 
 
-def test_merge_groupby_mixed_type_keys_pick_the_oracle_representative():
-    # 1, 1.0 and True conflate into one group (SQL++ equality).  The
-    # single-process executor represents the group by the rank-minimal member
-    # (bool < int < float under rep_ranks); the merge must pick the same one
-    # regardless of which shard's partial arrives first.  The old code kept
-    # whichever representative it saw first — shard-order-dependent output.
-    split = _split(
-        "SELECT g AS g, COUNT(*) AS n FROM {dataset} AS c GROUP BY c.g AS g;"
-    )
-    shards = [[{"g": 1.0, "n": 2}], [{"g": True, "n": 3}], [{"g": 1, "n": 5}]]
-    merged = merge_rows(split, shards)
-    assert merged == [{"g": True, "n": 10}]
-    assert merge_rows(split, list(reversed(shards))) == merged
+#: Members of one conflated group (or of groups that must stay apart), and
+#: the rows GROUP BY shows for them however the members arrive.
+GROUP_IDENTITY_CASES = [
+    # 1, 1.0 and True conflate (SQL++ equality); bool < int < float under rep_ranks.
+    ([1.0, True, 1], [{"g": True, "n": 3}]),
     # int beats float when no bool is present.
-    merged = merge_rows(split, [[{"g": 2.0, "n": 1}], [{"g": 2, "n": 4}]])
-    assert merged == [{"g": 2, "n": 5}]
-    assert merge_rows(split, [[{"g": 2, "n": 4}], [{"g": 2.0, "n": 1}]]) == merged
-    # Distinct-but-equal-looking keys of different kinds stay separate groups.
-    merged = merge_rows(split, [[{"g": "1", "n": 1}], [{"g": 1, "n": 2}]])
-    assert sorted(map(repr, merged)) == sorted(
-        map(repr, [{"g": "1", "n": 1}, {"g": 1, "n": 2}])
-    )
+    ([2.0, 2], [{"g": 2, "n": 2}]),
+    # MISSING and NULL are one group, shown as NULL.
+    ([None, MISSING, None], [{"g": None, "n": 3}]),
+    # Equal-looking keys of different kinds stay separate groups.
+    (["1", 1], [{"g": "1", "n": 1}, {"g": 1, "n": 1}]),
+]
+
+
+@pytest.mark.parametrize(
+    "members, expected",
+    GROUP_IDENTITY_CASES,
+    ids=["bool-int-float", "int-float", "missing-null", "str-vs-int"],
+)
+def test_group_identity_is_the_same_for_every_caller(members, expected):
+    """One key table, three callers: the interpreted GROUP BY feeds it rows,
+    the batch GROUP BY vector slots, the coordinator's merge shard partials.
+    All must show a group by the same representative, whichever member
+    arrives first (compared by repr so 1 vs 1.0 vs True differences count)."""
+    text = "SELECT g AS g, COUNT(*) AS n FROM t AS c GROUP BY c.g AS g;"
+    split = _split(text)
+    for ordered in (members, members[::-1]):
+        docs = [
+            {"id": i} if member is MISSING else {"id": i, "g": member}
+            for i, member in enumerate(ordered)
+        ]
+        store = _oracle_with([("t", "amax", docs)])
+        try:
+            answers = {
+                executor: store.query(text, executor=executor)
+                for executor in ("interpreted", "batch")
+            }
+        finally:
+            store.close()
+        answers["merge"] = merge_rows(
+            split,
+            [[{"g": None if member is MISSING else member, "n": 1}] for member in ordered],
+        )
+        for caller, rows in answers.items():
+            assert sorted(map(repr, rows)) == sorted(map(repr, expected)), caller
 
 
 def test_merge_rows_refuses_fetch_splits():
@@ -379,7 +403,7 @@ def test_sensors_queries_match_single_process(sharded_env, oracle, query_name):
     _assert_same_rows(got, want, text)
 
 
-@pytest.mark.parametrize("executor", ["interpreted", "batch", "codegen"])
+@pytest.mark.parametrize("executor", ["interpreted", "batch"])
 def test_shards_agree_across_executors(sharded_env, oracle, executor):
     _, sharded, _ = sharded_env
     text = (
@@ -387,6 +411,18 @@ def test_shards_agree_across_executors(sharded_env, oracle, executor):
         "GROUP BY c.tower AS tower ORDER BY n DESC, tower LIMIT 5;"
     )
     assert sharded.query(text, executor=executor) == oracle.query(text)
+
+
+def test_coordinator_rejects_an_unknown_executor_before_scattering(sharded_env):
+    _, sharded, _ = sharded_env
+    text = "SELECT COUNT(*) AS n FROM cell_amax AS c;"
+    sharded.query(text)
+    stats = sharded.last_query_stats
+    # A local QueryError, not a shard's RemoteError: nothing was sent.
+    with pytest.raises(QueryError, match="one of: interpreted, batch"):
+        sharded.query(text, executor=RETIRED_EXECUTOR)
+    assert sharded.last_query_stats is stats
+    assert sharded.query(text) == [{"n": len(CELL_DOCS)}]
 
 
 def test_pushdown_moves_aggregates_not_rows(sharded_env):
@@ -557,7 +593,7 @@ def join_env(sharded_env):
     oracle.close()
 
 
-@pytest.mark.parametrize("executor", ["interpreted", "batch", "codegen"])
+@pytest.mark.parametrize("executor", ["interpreted", "batch"])
 def test_joins_subqueries_windows_match_single_process(join_env, executor):
     _, sharded, oracle, users_name, orders_name = join_env
     for template in JOIN_DIFF_QUERIES:
@@ -746,7 +782,7 @@ def fuzz_env(sharded_env):
 def test_fuzz_corpus_matches_single_process(fuzz_env):
     num_shards, sharded, oracle = fuzz_env
     rng = seeded_rng(6011, salt=202)
-    executors = ("interpreted", "batch", "codegen")
+    executors = ("interpreted", "batch")
     ran = 0
     for attempt in range(SHARD_FUZZ_ATTEMPTS):
         if ran >= SHARD_FUZZ_QUERIES:

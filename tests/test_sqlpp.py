@@ -360,7 +360,7 @@ def test_group_select_subset_projects(store):
     assert "PROJECT n=Var('n')" in plan.describe()
 
 
-def test_interpreted_executor_matches_codegen(store):
+def test_interpreted_executor_matches_default(store):
     sql = (
         "SELECT e.kind AS kind, COUNT(*) AS n FROM events AS e "
         "WHERE e.qty > 1 GROUP BY e.kind ORDER BY kind;"

@@ -179,7 +179,7 @@ def _pairs():
     ]
 
 
-@pytest.mark.parametrize("executor", ["codegen", "interpreted"])
+@pytest.mark.parametrize("executor", ["batch", "interpreted"])
 def test_text_and_builder_rows_identical_everywhere(stores, executor):
     for builder_factory, text in _pairs():
         reference = None
