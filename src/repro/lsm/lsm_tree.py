@@ -49,7 +49,7 @@ from .component import (
     RowComponent,
     RowComponentBuilder,
 )
-from .memtable import FrozenMemtable, MemTable
+from .memtable import FrozenMemtable, ImmutableMemtable, MemEntry, MemTable
 from .merge_policy import MergeScheduler, TieringMergePolicy
 from .scheduler import BackgroundScheduler
 from .wal import TransactionLog
@@ -101,11 +101,12 @@ class TreeSnapshot:
     def __init__(
         self,
         tree: "LSMTree",
-        memtable_sources: List[object],
+        memtable_sources: List[ImmutableMemtable],
         components: Tuple[DiskComponent, ...],
     ) -> None:
         self._tree = tree
-        #: Entry providers newest → oldest: materialized lists or FrozenMemtables.
+        #: In-memory sources newest → oldest: the pinned copy of the mutable
+        #: memtable (when it was non-empty), then the frozen memtables.
         self.memtable_sources = memtable_sources
         self.components = components
         self._closed = False
@@ -120,9 +121,8 @@ class TreeSnapshot:
         cursors: List[ComponentCursor] = []
         if include_memtables:
             for source in self.memtable_sources:
-                entries = source if isinstance(source, list) else source.entries
-                if entries:
-                    cursors.append(_MemtableCursor(entries))
+                if not source.is_empty:
+                    cursors.append(_MemtableCursor(source.entries))
         for component in self.components:
             cursors.append(component.cursor(fields, pushdown))
         return cursors
@@ -135,26 +135,34 @@ class TreeSnapshot:
         merges that happened after the pin are invisible.  This is the read
         path of multi-statement transactions (see :mod:`repro.store.txn`).
         """
-        import bisect
-
         for source in self.memtable_sources:
-            if isinstance(source, list):
-                # Materialized (key, antimatter, document) entries in key order.
-                index = bisect.bisect_left(source, (key,))
-                if index < len(source) and source[index][0] == key:
-                    _, antimatter, document = source[index]
-                    return None if antimatter else document
-            else:  # FrozenMemtable
-                entry = source.get(key)
-                if entry is not None:
-                    antimatter, document = entry
-                    return None if antimatter else document
+            entry = source.get(key)
+            if entry is not None:
+                antimatter, document = entry
+                return None if antimatter else document
         for component in self.components:
             found = component.point_lookup(key, fields)
             if found is not None:
                 antimatter, document = found
                 return None if antimatter else document
         return None
+
+    def memtable_winners(self) -> Dict[object, MemEntry]:
+        """The newest in-memory version of every key: key → (antimatter, document).
+
+        Newest-wins across the in-memory sources by dict membership — no sort,
+        no merge.  Every key in the result (anti-matter ones included) hides
+        that key in every disk component; the non-anti-matter documents are
+        the live in-memory records.  Unordered and read-only: with a single
+        non-empty source it is that source's own mapping.
+        """
+        sources = [s for s in self.memtable_sources if not s.is_empty]
+        if len(sources) == 1:
+            return sources[0].by_key
+        winners: Dict[object, MemEntry] = {}
+        for source in reversed(sources):  # oldest first, newer overwrite
+            winners.update(source.by_key)
+        return winners
 
     def close(self) -> None:
         """Release the component pins (idempotent)."""
@@ -684,29 +692,21 @@ class LSMTree:
         flushes, and merges do not affect it, and components it references
         survive (undestroyed) until :meth:`TreeSnapshot.close`.
         """
-        raw_entries = None
         with self._lock:
             components = tuple(self.components)
             for component in components:
                 cid = id(component)
                 self._pins[cid] = self._pins.get(cid, 0) + 1
-            memtable_sources: List[object] = []
+            memtable_sources: List[ImmutableMemtable] = []
             if include_memtables:
                 if not self.memtable.is_empty:
                     # Only the O(n) copy of the mutable memtable needs the
-                    # lock; the O(n log n) sort happens below, with writers
-                    # already unblocked.  Frozen memtables are immutable and
-                    # materialize lazily.
-                    raw_entries = self.memtable.entries_snapshot()
+                    # lock.  Like the frozen memtables, the copy sorts lazily:
+                    # point lookups and the batch overlay never ask for order.
+                    memtable_sources.append(
+                        ImmutableMemtable(self.memtable.entries_snapshot())
+                    )
                 memtable_sources.extend(reversed(self._frozen))  # newest first
-        if raw_entries is not None:
-            memtable_sources.insert(
-                0,
-                [
-                    (key, antimatter, document)
-                    for key, (antimatter, document) in sorted(raw_entries)
-                ],
-            )
         return TreeSnapshot(self, memtable_sources, components)
 
     def _unpin_components(self, components: Sequence[DiskComponent]) -> None:

@@ -13,9 +13,17 @@ from typing import Dict, List, Optional, Tuple
 
 from ..model.errors import StorageError
 from ..model.values import estimate_json_size
+from .component import FlushEntry
 
 #: One memtable entry: (antimatter flag, document-or-None).
 MemEntry = Tuple[bool, Optional[dict]]
+
+
+def _in_key_order(by_key: Dict[object, MemEntry]) -> List[FlushEntry]:
+    return [
+        (key, antimatter, document)
+        for key, (antimatter, document) in sorted(by_key.items())
+    ]
 
 
 class MemTable:
@@ -73,24 +81,59 @@ class MemTable:
     def is_full(self) -> bool:
         return self.approximate_bytes >= self.budget_bytes
 
-    def sorted_entries(self) -> List[Tuple[object, bool, Optional[dict]]]:
+    def sorted_entries(self) -> List[FlushEntry]:
         """Entries as ``(key, antimatter, document)`` in key order (flush order)."""
-        return [
-            (key, antimatter, document)
-            for key, (antimatter, document) in sorted(self._entries.items())
-        ]
+        return _in_key_order(self._entries)
 
-    def entries_snapshot(self) -> List[Tuple[object, MemEntry]]:
+    def entries_snapshot(self) -> Dict[object, MemEntry]:
         """An unordered O(n) copy of the raw entries.
 
         For readers that must copy under a lock but can afford to sort
         outside it (snapshot pinning): the copy is the only part that needs
         the entries to hold still.
         """
-        return list(self._entries.items())
+        return dict(self._entries)
 
 
-class FrozenMemtable:
+class ImmutableMemtable:
+    """A read-only view of memtable entries that no longer change.
+
+    The interface every pinned in-memory source offers a reader: O(1)
+    ``get``, the raw ``by_key`` mapping for membership-based reconciliation
+    (the batch executor's overlay), and ``entries`` in flush order for the
+    k-way merge — sorted once, lazily, by whoever needs the order first.
+    A snapshot pins the mutable memtable as one of these (over
+    :meth:`MemTable.entries_snapshot`); :class:`FrozenMemtable` is the
+    rotated-out flavour.
+    """
+
+    def __init__(self, by_key: Dict[object, MemEntry]) -> None:
+        #: key -> (antimatter, document), unordered.  Never mutate.
+        self.by_key = by_key
+        self._entries: Optional[List[FlushEntry]] = None
+        self._entries_lock = threading.Lock()
+
+    def get(self, key) -> Optional[MemEntry]:
+        return self.by_key.get(key)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.by_key
+
+    def __len__(self) -> int:
+        return len(self.by_key)
+
+    @property
+    def entries(self) -> List[FlushEntry]:
+        """``(key, antimatter, document)`` in key order (computed once, cached)."""
+        if self._entries is None:
+            with self._entries_lock:
+                if self._entries is None:
+                    self._entries = _in_key_order(self.by_key)
+        return self._entries
+
+
+class FrozenMemtable(ImmutableMemtable):
     """An immutable, rotated-out memtable awaiting its background flush.
 
     When the writer rotates (swaps in a fresh mutable memtable so ingestion
@@ -106,30 +149,7 @@ class FrozenMemtable:
     """
 
     def __init__(self, memtable: MemTable, rotated_lsn: int) -> None:
-        self._memtable = memtable
+        # No copy: nothing writes to a memtable once it has been rotated out.
+        super().__init__(memtable._entries)
         self.rotated_lsn = rotated_lsn
-        self._entries: Optional[List[Tuple[object, bool, Optional[dict]]]] = None
-        self._entries_lock = threading.Lock()
-
-    def get(self, key) -> Optional[MemEntry]:
-        return self._memtable.get(key)
-
-    @property
-    def is_empty(self) -> bool:
-        return self._memtable.is_empty
-
-    @property
-    def approximate_bytes(self) -> int:
-        return self._memtable.approximate_bytes
-
-    def __len__(self) -> int:
-        return len(self._memtable)
-
-    @property
-    def entries(self) -> List[Tuple[object, bool, Optional[dict]]]:
-        """The frozen contents in flush order (computed once, cached)."""
-        if self._entries is None:
-            with self._entries_lock:
-                if self._entries is None:
-                    self._entries = self._memtable.sorted_entries()
-        return self._entries
+        self.approximate_bytes = memtable.approximate_bytes

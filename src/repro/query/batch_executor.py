@@ -13,17 +13,24 @@ instead of rows.  The source comes in two flavours:
   paths become per-*element* value vectors keyed by the unnest variable, and
   the record vectors are fanned out by a row-index vector — such batches are
   marked ``unnested`` and the pipeline skips the operator for them.
-  Direct scans are only taken when they are provably equivalent to the
-  reconciled row scan: the partition's memtables must be empty, every
-  component must be columnar with the pruned paths flat — or, for the
-  unnested array, singly repeated and union-free — in its schema
-  (:func:`~repro.query.pushdown.schema_supports_direct`), and the components'
-  key ranges must be pairwise disjoint — then concatenating them in
-  ``min_key`` order replays exactly the k-way merge's key order with no
-  reconciliation to do.  Anything else falls back to the reconciled row scan,
-  batched row-wise; both kinds of batch flow through the same operators.
-* **row-backed** — the reconciled scan's documents, pivoted into one column
-  per bound variable.
+  Direct scans are taken whenever every component is columnar with the
+  pruned paths flat — or, for the unnested array, singly repeated and
+  union-free — in its schema
+  (:func:`~repro.query.pushdown.schema_supports_direct`).  Newest-wins needs
+  no merge: a component record is live iff it is not anti-matter and its key
+  is in no *newer* source, so each component is scanned under a **shadow** —
+  the in-memory winners (:meth:`~repro.lsm.lsm_tree.TreeSnapshot.memtable_winners`)
+  plus the keys of every newer component whose key span intersects its own
+  (read from the leaf groups that reach into it only) — and
+  ``key not in shadow`` joins the selection, ahead of the pushed
+  predicates (a newer version that fails a predicate still hides the older
+  one).  A leaf group whose span holds no shadow key reads no key stream at
+  all.  The live in-memory records then leave as row-backed **overlay**
+  batches after the components'.  A row-major component or a path the column
+  streams cannot serve exactly sends the partition to the reconciled row
+  scan, batched row-wise; all kinds of batch flow through the same operators.
+* **row-backed** — documents (the reconciled scan's, or a direct
+  partition's memtable overlay), pivoted into one column per bound variable.
 
 FILTER / ASSIGN / UNNEST evaluate whole expression vectors per batch
 (:meth:`~repro.query.expressions.Expression.evaluate_batch`, with NumPy
@@ -35,7 +42,9 @@ row-at-a-time executor stays untouched as the correctness oracle.
 
 from __future__ import annotations
 
+import threading
 import time
+from bisect import bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..columnar.base import ColumnarComponent
@@ -136,42 +145,105 @@ def plan_supports_direct(plan: QueryPlan) -> bool:
     )
 
 
+class ScanReport:
+    """What one batch scan did, for its ``DataScanNode`` span.
+
+    ``fallbacks`` holds, per partition that took the reconciling scan, the
+    reason why — complete as soon as every partition has chosen, i.e. when
+    :meth:`~repro.store.dataset.Dataset.scan_batches` returns.  The row
+    counters fill in as the direct partitions finish (on pool workers when
+    the scan is parallel, hence the lock; one addition per partition):
+    ``overlay_rows`` live memtable records emitted as row batches,
+    ``shadowed_rows`` decoded component records dropped because a newer
+    source holds their key.
+    """
+
+    def __init__(self) -> None:
+        self.fallbacks: List[str] = []
+        self.overlay_rows = 0
+        self.shadowed_rows = 0
+        self._lock = threading.Lock()
+
+    def add_rows(self, overlay: int, shadowed: int) -> None:
+        with self._lock:
+            self.overlay_rows += overlay
+            self.shadowed_rows += shadowed
+
+
+class _Shadow:
+    """The keys of one source, spanning ``[low, high]``, that is newer than
+    the component being scanned: a record whose key is among them is
+    superseded.  The in-memory winners are a ready-made dict; a component's
+    keys (anti-matter included — a newer delete hides the record too) are
+    read group by group, and only if an older component reaches into them."""
+
+    def __init__(self, low, high, keys=None, groups=()) -> None:
+        self.low = low
+        self.high = high
+        self._keys = keys
+        self._groups = groups
+        self._group_keys: Dict[Tuple[int, ...], set] = {}
+
+    def keys_within(self, low, high):
+        """A container answering ``key in`` (and iterable) that holds every
+        key of the source inside ``[low, high]`` — possibly more — or None
+        when there can be none.  Of a component, only the leaf groups whose
+        own span reaches into ``[low, high]`` have their key stream read."""
+        if not _spans_meet(self.low, self.high, low, high):
+            return None
+        if self._keys is not None:
+            return self._keys
+        wanted = tuple(
+            index
+            for index, group in enumerate(self._groups)
+            if group.record_count
+            and _spans_meet(group.min_key, group.max_key, low, high)
+        )
+        if not wanted:
+            return None
+        if wanted not in self._group_keys:
+            keys: set = set()
+            for index in wanted:
+                keys.update(self._groups[index].read_keys()[0])
+            self._group_keys[wanted] = keys
+        return self._group_keys[wanted]
+
+
+def _spans_meet(low, high, other_low, other_high) -> bool:
+    try:
+        return not (high < other_low or other_high < low)
+    except TypeError:
+        return True  # cross-type (or unknown) spans are inconclusive
+
+
+def _memtable_shadow(winners: dict) -> _Shadow:
+    try:
+        return _Shadow(min(winners), max(winners), keys=winners)
+    except TypeError:
+        return _Shadow(None, None, keys=winners)
+
+
 def _direct_components(
     snapshot, spec
 ) -> Tuple[Optional[List[ColumnarComponent]], Optional[str]]:
-    """``(components in key order, None)``, or ``(None, reason)`` when unsafe.
+    """``(non-empty components, newest first, None)``, or ``(None, reason)``.
 
-    Direct scans bypass the k-way newest-wins merge, which is only sound when
-    there is nothing to reconcile: no in-memory entries and no key present in
-    two components.  Pairwise-disjoint metadata key ranges (anti-matter keys
-    included — they count toward a component's min/max) guarantee the latter,
-    and then ``min_key`` order reproduces the merge's ascending key order.
-    The reason names the first gate that failed: ``memtable``, ``layout`` (a
-    row-major component), ``schema`` (a pruned path the column streams cannot
-    serve exactly) or ``overlap``.
+    The direct scan reconciles by key membership (:class:`_Shadow`), so what
+    is left to rule out is data the column streams cannot serve: ``layout``
+    (a row-major component) or ``schema`` (a pruned path that is not flat —
+    or, for the unnested array, not singly repeated and union-free — in some
+    component's schema).
     """
-    for source in snapshot.memtable_sources:
-        entries = source if isinstance(source, list) else source.entries
-        if entries:
-            return None, "memtable"
-    spans: List[Tuple[object, object, ColumnarComponent]] = []
+    components: List[ColumnarComponent] = []
     for component in snapshot.components:
         if not isinstance(component, ColumnarComponent):
             return None, "layout"
         if not schema_supports_direct(component.schema, spec.paths, spec.unnest):
             return None, "schema"
         metadata = component.metadata
-        if metadata.record_count == 0 or metadata.min_key is None:
-            continue
-        spans.append((metadata.min_key, metadata.max_key, component))
-    try:
-        spans.sort(key=lambda span: span[0])
-        for (_, high, _), (low, _, _) in zip(spans, spans[1:]):
-            if not high < low:
-                return None, "overlap"
-    except TypeError:
-        return None, "overlap"  # cross-type keys: ranges are inconclusive
-    return [component for _, _, component in spans], None
+        if metadata.record_count and metadata.min_key is not None:
+            components.append(component)
+    return components, None
 
 
 # ======================================================================================
@@ -187,22 +259,24 @@ def partition_batches(
     spec,
     batch_size: int,
     allow_direct: bool,
-    fallbacks: Optional[List[str]] = None,
+    report: Optional[ScanReport] = None,
 ) -> Iterator[ColumnBatch]:
     """Batches for one partition; takes ownership of the pinned snapshot.
 
-    A partition that cannot go direct appends the reason to ``fallbacks``.
+    A partition that cannot go direct appends the reason to
+    ``report.fallbacks``; one that does adds its row counters when it ends.
     """
+    if report is None:
+        report = ScanReport()  # a caller that does not care what ran
     components = None
     reason = "plan"
     if allow_direct and spec is not None and spec.paths is not None:
         components, reason = _direct_components(snapshot, spec)
     if components is not None:
         return _direct_partition_batches(
-            snapshot, components, spec, variable, batch_size
+            snapshot, components, spec, variable, batch_size, report
         )
-    if fallbacks is not None:
-        fallbacks.append(reason)
+    report.fallbacks.append(reason)
     # Reconciled row scan (closes the snapshot itself), batched row-wise.
     rows = tree._scan_snapshot(snapshot, fields, spec)
     return _row_batches(rows, variable, batch_size)
@@ -233,17 +307,91 @@ def unnest_batch(batch: ColumnBatch, variable: str, arrays: list) -> ColumnBatch
 
 
 def _direct_partition_batches(
-    snapshot, components, spec, variable: str, batch_size: int
+    snapshot, components, spec, variable: str, batch_size: int, report: ScanReport
 ) -> Iterator[ColumnBatch]:
+    """The components' assembly-free batches, then the memtable overlay.
+
+    Each component is scanned under the shadows of the sources newer than it
+    whose span reaches into its own; disjoint components under empty
+    memtables get none and scan exactly as if nothing else existed.  Row
+    order is by component (``min_key`` order where keys compare), never by
+    key across components.
+    """
+    overlay = 0
+    shadowed: List[int] = []  # per leaf group that applied a shadow
     try:
-        for component in components:
-            yield from _component_batches(component, spec, variable, batch_size)
+        winners = snapshot.memtable_winners()
+        newer: List[_Shadow] = [_memtable_shadow(winners)] if winners else []
+        scans: List[Tuple[ColumnarComponent, List[_Shadow]]] = []
+        for component in components:  # newest first
+            metadata = component.metadata
+            scans.append((component, list(newer)))
+            newer.append(
+                _Shadow(metadata.min_key, metadata.max_key, groups=component.groups)
+            )
+        try:
+            scans.sort(key=lambda scan: scan[0].metadata.min_key)
+        except TypeError:
+            pass  # cross-type keys: any order will do
+        for component, above in scans:
+            low, high = component.metadata.min_key, component.metadata.max_key
+            shadows = [
+                keys
+                for keys in (shadow.keys_within(low, high) for shadow in above)
+                if keys is not None
+            ]
+            yield from _component_batches(
+                component, spec, variable, batch_size, shadows, shadowed
+            )
+        live = [
+            (key, document)
+            for key, (antimatter, document) in winners.items()
+            if not antimatter
+        ]
+        overlay = len(live)
+        yield from _row_batches(live, variable, batch_size)
     finally:
+        report.add_rows(overlay, sum(shadowed))
         snapshot.close()
 
 
+def _groups_holding_keys(groups, shadows) -> set:
+    """Indices of the leaf groups whose key span holds a shadow key — the
+    only groups that must decode their key stream to apply the shadow.
+
+    Groups partition the component's key order, so each shadow key is placed
+    by one bisect; the walk stops once every group is known to be hit.
+    """
+    spans = [
+        (group.min_key, index)
+        for index, group in enumerate(groups)
+        if group.record_count and group.min_key is not None
+    ]
+    lows = [low for low, _ in spans]
+    hit: set = set()
+    try:
+        for keys in shadows:
+            for key in keys:
+                position = bisect_right(lows, key) - 1
+                if position < 0:
+                    continue
+                index = spans[position][1]
+                if index not in hit and not groups[index].max_key < key:
+                    hit.add(index)
+                    if len(hit) == len(spans):
+                        return hit
+    except TypeError:
+        return {index for _, index in spans}  # cross-type keys: check them all
+    return hit
+
+
 def _component_batches(
-    component: ColumnarComponent, spec, variable: str, batch_size: int
+    component: ColumnarComponent,
+    spec,
+    variable: str,
+    batch_size: int,
+    shadows: List,
+    shadowed: List[int],
 ) -> Iterator[ColumnBatch]:
     """Assembly-free batches of one component, already unnested (and marked
     so) when the spec carries an unnest binding.
@@ -251,9 +399,14 @@ def _component_batches(
     Record paths become one value per record (:func:`_path_vector`); with a
     binding, element paths become one value per array element
     (:func:`_element_vector`) and the record paths are fanned out to the
-    elements by a row-index vector.  Pushed predicates, anti-matter and the
-    fan-out all end up in the same two selections — ``rows`` into the record
-    vectors, ``elements`` into the element vectors — applied by one gather.
+    elements by a row-index vector.  Pushed predicates, anti-matter, the
+    ``shadows`` (key containers of newer sources: a record found in one is
+    superseded, and counted in ``shadowed``) and the fan-out all end up in
+    the same two selections — ``rows`` into the record vectors, ``elements``
+    into the element vectors — applied by one gather.  Min/max pruning skips
+    a group whatever the shadows say: the records it would hide are not being
+    emitted, and the group's own keys shadow older components through
+    :class:`_Shadow`, not through here.
     """
     schema = component.schema
     compiled = (
@@ -297,7 +450,10 @@ def _component_batches(
     for column in (counted, *element_columns.values()):
         if column is not None:
             needed[column.column_id] = column
-    for group in component.groups:
+    shadowed_groups = (
+        _groups_holding_keys(component.groups, shadows) if shadows else ()
+    )
+    for group_index, group in enumerate(component.groups):
         record_count = group.record_count
         if record_count == 0:
             continue
@@ -305,16 +461,31 @@ def _component_batches(
             continue  # min/max pruning: nothing decoded, not even the keys
         antimatter_count = getattr(group, "antimatter_count", None)
         needs_flags = antimatter_count is None or antimatter_count > 0
+        needs_shadow = group_index in shadowed_groups
         wanted = list(needed.values())
-        if (needs_flags or needs_keys) and pk_column.column_id not in needed:
+        if (
+            needs_flags or needs_keys or needs_shadow
+        ) and pk_column.column_id not in needed:
             wanted.append(pk_column)
         streams = group.read_columns(wanted) if wanted else {}
         keys: Optional[list] = None
+        # ``flags``: the records that are dead on arrival — anti-matter, or
+        # superseded by a newer source.  Decided before any predicate looks.
         flags: Optional[List[bool]] = None
         if pk_column.column_id in streams:
             pk_defs, keys = streams[pk_column.column_id]
             if needs_flags:
                 flags = [definition_level == 0 for definition_level in pk_defs]
+            if needs_shadow:
+                live_before = record_count - (sum(flags) if flags else 0)
+                for shadow in shadows:
+                    hidden = map(shadow.__contains__, keys)
+                    flags = (
+                        list(hidden)
+                        if flags is None
+                        else [a or b for a, b in zip(flags, hidden)]
+                    )
+                shadowed.append(live_before - (record_count - sum(flags)))
         passes: Optional[List[bool]] = None
         for cp in compiled:
             vector = cp.evaluate(streams, record_count)
@@ -485,13 +656,10 @@ def source_batches(
     store,
     plan: QueryPlan,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    fallbacks: Optional[List[str]] = None,
+    report: Optional[ScanReport] = None,
 ) -> Iterator[ColumnBatch]:
-    """The plan's source as column batches (direct where provably safe).
-
-    ``fallbacks`` collects, per partition that took the reconciling scan, the
-    reason why.
-    """
+    """The plan's source as column batches (direct wherever the column
+    streams can serve the plan); ``report`` collects what the scan did."""
     source = plan.source
     if isinstance(source, DataScanNode):
         dataset = store.dataset(source.dataset)
@@ -506,7 +674,7 @@ def source_batches(
             batch_size=batch_size,
             direct=plan_supports_direct(plan),
             executor=pool if (use_parallel and pool is not None) else None,
-            fallbacks=fallbacks,
+            report=report,
         )
     return _binding_batches(source_rows(store, plan), batch_size)
 
@@ -534,21 +702,25 @@ def run_batch_pipeline(
 
     When a trace is active, one span per pipeline operator (rows out and
     cumulative operator time) is recorded as the generator finishes;
-    ``pushed`` is the UNNEST the scan performed on every batch, if any.
+    ``pushed`` is the UNNEST every partition's direct scan performs, if any.
     """
     tracing = current_trace() is not None
     counts = [0] * len(pipeline)
     elapsed = [0.0] * len(pipeline)
+    unnested_here: set = set()
     try:
         yield from _run_batch_pipeline(batches, pipeline, tracing, counts,
-                                       elapsed)
+                                       elapsed, unnested_here)
     finally:
         if tracing:
-            for op, rows_out, seconds in zip(pipeline, counts, elapsed):
-                # The UNNEST every partition's direct scan performed is
-                # marked ``pushed``.
-                attrs = {"pushed": True} if op is pushed else {}
-                record_span(op_span_name(op), seconds, rows_out=rows_out, **attrs)
+            for index, op in enumerate(pipeline):
+                # The pushed UNNEST is a marker span — unless overlay rows
+                # went through the operator, whose real span it then is.
+                marker = op is pushed and index not in unnested_here
+                attrs = {"pushed": True} if marker else {}
+                record_span(
+                    op_span_name(op), elapsed[index], rows_out=counts[index], **attrs
+                )
 
 
 def _run_batch_pipeline(
@@ -557,6 +729,7 @@ def _run_batch_pipeline(
     tracing: bool,
     counts: List[int],
     elapsed: List[float],
+    unnested_here: set,
 ) -> Iterator[ColumnBatch]:
     for batch in batches:
         for index, op in enumerate(pipeline):
@@ -574,6 +747,7 @@ def _run_batch_pipeline(
                 )
             elif isinstance(op, UnnestNode):
                 if not batch.unnested:  # else the direct scan already did
+                    unnested_here.add(index)
                     batch = unnest_batch(
                         batch, op.variable, op.expression.evaluate_batch(batch)
                     )
@@ -693,22 +867,35 @@ def run_batch_plan(
 ) -> List[dict]:
     """Execute a plan end-to-end over column batches (the ``"batch"`` executor)."""
     size = batch_size or DEFAULT_BATCH_SIZE
-    fallbacks: List[str] = []
-    batches = source_batches(store, plan, size, fallbacks)
+    report = ScanReport()
+    batches = source_batches(store, plan, size, report)
     pushed = None
     if current_trace() is not None:
-        attrs = {}
-        if isinstance(plan.source, DataScanNode):
-            # Snapshots are pinned (and each partition's path chosen) by the
-            # time source_batches returns, so the verdict is already in.
-            attrs["scan_mode"] = "reconciled" if fallbacks else "direct"
-            if fallbacks:
-                attrs["fallback_reason"] = fallbacks[0]
-            elif getattr(plan.source.pushdown, "unnest", None) is not None:
-                # Every partition went direct, so the scan did the UNNEST.
-                pushed = next(
-                    op for op in plan.pipeline if isinstance(op, UnnestNode)
-                )
-        batches = traced_batch_source(batches, plan.source, **attrs)
+        scanning = isinstance(plan.source, DataScanNode)
+        # Snapshots are pinned (and each partition's path chosen) by the time
+        # source_batches returns, so the verdict is already in.
+        if (
+            scanning
+            and not report.fallbacks
+            and getattr(plan.source.pushdown, "unnest", None) is not None
+        ):
+            # Every partition went direct, so the scan does the UNNEST.
+            pushed = next(op for op in plan.pipeline if isinstance(op, UnnestNode))
+
+        def scan_attrs() -> dict:
+            if not scanning:
+                return {}
+            if report.fallbacks:
+                return {
+                    "scan_mode": "reconciled",
+                    "fallback_reason": ",".join(sorted(set(report.fallbacks))),
+                }
+            return {
+                "scan_mode": "direct",
+                "overlay_rows": report.overlay_rows,
+                "shadowed_rows": report.shadowed_rows,
+            }
+
+        batches = traced_batch_source(batches, plan.source, scan_attrs)
     piped = run_batch_pipeline(batches, plan.pipeline, pushed)
     return run_batch_breakers(piped, plan.breakers)

@@ -237,9 +237,10 @@ def traced_row_source(rows: Iterable[dict], source_node) -> Iterator[dict]:
         )
 
 
-def traced_batch_source(batches, source_node, **attrs):
+def traced_batch_source(batches, source_node, attrs):
     """Like :func:`traced_row_source` but over column batches — the span
-    carries both the batch count and the total row count, plus ``attrs``."""
+    carries both the batch count and the total row count, plus ``attrs()``,
+    asked for once the source is exhausted (or abandoned)."""
     row_count = 0
     batch_count = 0
     elapsed = 0.0
@@ -263,7 +264,7 @@ def traced_batch_source(batches, source_node, **attrs):
             dataset=getattr(source_node, "dataset", None),
             rows_out=row_count,
             batches=batch_count,
-            **attrs,
+            **attrs(),
         )
 
 

@@ -455,24 +455,34 @@ class Dataset:
         batch_size: int = 1024,
         direct: bool = False,
         executor=None,
-        fallbacks: Optional[List[str]] = None,
+        report=None,
     ) -> Iterator:
         """Scan every partition as column batches for the batch executor.
 
         Every partition's snapshot is pinned up front, exactly like
-        :meth:`scan`.  With ``direct=True``, partitions whose pinned state
-        qualifies (columnar components only, empty memtables, disjoint key
-        ranges — see :func:`repro.query.batch_executor.partition_batches`)
-        emit assembly-free path-column batches straight from the pruned
-        column streams; the rest fall back to the reconciled row scan,
-        batched row-wise, and append the reason to ``fallbacks`` (complete
-        when this method returns: every partition chooses up front).  A
-        direct partition also performs the spec's pushed UNNEST, if it has
-        one, and marks its batches ``unnested``.  With ``executor`` (a thread pool) and multiple
-        partitions, each partition's batches materialize on a pool worker,
-        but results stream back in *partition* order — unlike
-        :meth:`parallel_scan`'s completion order — so a given snapshot
-        always produces the same batch sequence.
+        :meth:`scan`.  With ``direct=True``, partitions whose pinned
+        components are all columnar and serve the pruned paths exactly (see
+        :func:`repro.query.batch_executor.partition_batches`) emit
+        assembly-free path-column batches straight from the pruned column
+        streams — newest-wins decided by key membership, not by a merge: each
+        component drops the records whose key a newer source holds (memtable
+        entries, newer overlapping components; anti-matter included), and the
+        live memtable records follow as row-backed overlay batches.  Such a
+        partition also performs the spec's pushed UNNEST on its component
+        batches, if it has one, and marks them ``unnested``.  The other
+        partitions fall back to the reconciled row scan, batched row-wise.
+
+        Within a partition, batches arrive component by component and then
+        the overlay — not in key order across components; row order is the
+        caller's business (ORDER BY).  ``report`` (a
+        :class:`repro.query.batch_executor.ScanReport`) receives each
+        fallback's reason — complete when this method returns: every
+        partition chooses up front — and, as each direct partition ends, its
+        overlay and shadowed row counts.  With ``executor`` (a thread pool)
+        and multiple partitions, each partition's batches materialize on a
+        pool worker, but results stream back in *partition* order — unlike
+        :meth:`parallel_scan`'s completion order — so a given snapshot always
+        produces the same batch sequence.
         """
         from ..query.batch_executor import partition_batches
 
@@ -486,7 +496,7 @@ class Dataset:
                 pushdown,
                 batch_size,
                 allow_direct=direct,
-                fallbacks=fallbacks,
+                report=report,
             )
             for partition, snapshot in zip(self.partitions, snapshots)
         ]

@@ -38,6 +38,8 @@ from repro.model.errors import TransactionConflictError
 from repro.query import Field, Query, Var
 from repro.verify import HistoryRecorder, check_history
 
+from test_repeated_direct_scan import _find_spans
+
 #: Operations per writer thread (CI's stress job raises this via the env).
 STRESS_OPS = int(os.environ.get("REPRO_STRESS_OPS", "250"))
 NUM_WRITERS = 3
@@ -401,6 +403,102 @@ def test_parallel_scan_matches_sequential_scan():
     )
     default_rows = Query("docs", "d").where(predicate).count().execute(store)
     assert serial_rows == parallel_rows == default_rows
+    store.close()
+
+
+@pytest.mark.parametrize("layout", ("apax", "amax"))
+def test_direct_scan_counts_beside_a_writer_with_background_flush_and_merge(layout):
+    """The batch executor's direct scan beside a live writer: every record is
+    counted exactly once, wherever it is at pin time.
+
+    The writer appends new keys and upserts old ones while rotations, flushes
+    and merges run on the pool, so a pinned state has a mutable memtable,
+    frozen memtables and overlapping components at once.  Counts (total, and
+    filtered on a per-key constant) never decrease and never exceed the keys
+    sent — a record counted both in a frozen memtable and in the component its
+    flush just published, or in neither, would break one or the other — and
+    once the writer stops, both executors agree with the journal.
+    """
+    store = Datastore(make_config())
+    dataset = store.create_dataset("docs", layout=layout)
+    rng = seeded_rng(23, salt=ALL_LAYOUTS.index(layout) + 1)
+    count_text = "SELECT COUNT(*) AS c FROM docs AS d;"
+    filtered_text = (
+        "SELECT COUNT(*) AS c, MAX(d.version) AS newest FROM docs AS d "
+        "WHERE d.bucket >= 2;"
+    )
+    sent = [0]  # keys handed to insert so far (bumped *before* the insert)
+    versions: dict = {}
+    stop = threading.Event()
+    reader_round = threading.Event()
+    errors: list = []
+
+    def write() -> None:
+        try:
+            for step in range(STRESS_OPS * 3):
+                if step % 25 == 24 and not errors:
+                    # Let the reader in: a burst of inserts must not outrun it.
+                    reader_round.wait(timeout=5)
+                    reader_round.clear()
+                if versions and rng.random() < 0.3:
+                    key = rng.randrange(len(versions))  # upsert: count unchanged
+                else:
+                    key = len(versions)
+                    sent[0] = key + 1
+                versions[key] = versions.get(key, 0) + 1
+                dataset.insert(
+                    {"id": key, "bucket": key % 4, "version": versions[key]}
+                )
+        except BaseException as exc:  # noqa: BLE001 - surfaced by the test
+            errors.append(exc)
+        finally:
+            stop.set()
+
+    observed = []
+
+    def read() -> None:
+        try:
+            floor = {count_text: 0, filtered_text: 0}
+            while not stop.is_set():
+                for text in (count_text, filtered_text):
+                    (row,) = store.query(text, executor="batch")
+                    ceiling = sent[0]
+                    assert floor[text] <= row["c"] <= ceiling, (text, row, floor)
+                    floor[text] = row["c"]
+                    (scan,) = _find_spans(store.last_trace.root, "DataScanNode")
+                    observed.append(
+                        (scan.attrs["scan_mode"], scan.attrs.get("overlay_rows", 0))
+                    )
+                reader_round.set()
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+        finally:
+            reader_round.set()
+
+    threads = [threading.Thread(target=write), threading.Thread(target=read)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "thread hung"
+    if errors:
+        raise errors[0]
+    assert observed and {mode for mode, _ in observed} == {"direct"}
+    assert any(overlay for _, overlay in observed)
+
+    expected_count = [{"c": len(versions)}]
+    passing = [key for key in versions if key % 4 >= 2]
+    expected_filtered = [
+        {"c": len(passing), "newest": max(versions[key] for key in passing)}
+    ]
+    # Twice: while the pool may still be flushing/merging, then drained.
+    for drained in (False, True):
+        if drained:
+            store.drain_background()
+        for executor in ("batch", "interpreted"):
+            assert store.query(count_text, executor=executor) == expected_count
+            assert store.query(filtered_text, executor=executor) == expected_filtered
+    assert sum(partition.flush_count for partition in dataset.partitions) > 2
     store.close()
 
 

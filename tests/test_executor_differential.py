@@ -14,8 +14,9 @@ objects (``items``: the shape the direct scan unnests itself) and a
 heterogeneous mix of nulls, scalars, objects and nested arrays (``mixed``:
 must fall back).  Two datasets are queried — one fully
 flushed with disjoint per-flush key ranges (so columnar layouts take the
-assembly-free direct batch path) and one with memtable rows, deletes, and
-updates (so the batch source must fall back to the reconciled row scan).
+assembly-free direct batch path unshadowed) and one with memtable rows,
+deletes, and updates (so the direct scan must shadow the flushed component and
+overlay the memtable winners — newest-wins without the reconciling merge).
 
 Seeds flow through the shared ``REPRO_TEST_SEED`` plumbing in
 ``tests/conftest.py``: a failure report prints the exact replay command.
@@ -103,8 +104,9 @@ def _build_store(layout: str, rng: random.Random) -> Datastore:
     d.flush_all()
     d.insert_many([_document(rng, key) for key in range(150, 300)])
     d.flush_all()
-    # "m": memtable rows + deletes + overwrites — reconciliation required,
-    # so the batch source must take the row-scan fallback.
+    # "m": memtable rows + deletes + overwrites — reconciliation required:
+    # the direct scan drops the shadowed flushed versions and emits the
+    # memtable winners as overlay row batches.
     m = store.create_dataset("m", layout=layout)
     m.insert_many([_document(rng, key) for key in range(0, 200)])
     m.flush_all()
@@ -374,6 +376,25 @@ def test_direct_scan_unnests_arrays_of_objects(fuzz_store):
         assert scan.attrs["scan_mode"] == expected, (array, scan.attrs)
         unnest = _find_span(store.last_trace.root, "UnnestNode")
         assert unnest.attrs.get("pushed", False) is (expected == "direct")
+
+
+def test_direct_scan_overlays_the_live_memtable(fuzz_store):
+    """Meta-test: dataset ``m`` — deletes, updates and new keys all still in
+    the memtable — stays on the direct scan for the columnar layouts, with
+    the flushed versions of the 24 touched keys shadowed and the 50 live
+    memtable documents overlaid."""
+    layout, store = fuzz_store
+    text = "SELECT COUNT(*) AS c, MAX(t.nested.v) AS hi FROM m AS t WHERE t.a >= 0;"
+    oracle = store.query(text, executor="interpreted")
+    assert store.query(text, executor="batch") == oracle
+    scan = _find_span(store.last_trace.root, "DataScanNode")
+    if layout in ("apax", "amax"):
+        assert scan.attrs["scan_mode"] == "direct", scan.attrs
+        assert "fallback_reason" not in scan.attrs
+        assert scan.attrs["overlay_rows"] == 10 + 40  # updates + new keys
+        assert scan.attrs["shadowed_rows"] == 14 + 10  # deletes + updates
+    else:
+        assert scan.attrs["fallback_reason"] == "layout"
 
 
 def _find_span(node, name):

@@ -20,6 +20,7 @@ from conftest import resolve_seed
 
 from repro import Datastore, StoreConfig
 from repro.query import And, Call, Field, Or, Query, Var
+from repro.query.plan import OrderByNode
 
 LAYOUTS = ("open", "vector", "apax", "amax")
 
@@ -113,6 +114,25 @@ def stores():
 
 def _canonical(rows) -> str:
     return json.dumps(rows, sort_keys=True)
+
+
+def emits_by_component(query, layout, executor, pushdown) -> bool:
+    """Is this the one read path whose rows do not come in key order?
+
+    The batch executor's direct scan of a columnar layout (only taken with
+    pushdown on) emits component by component, then the memtable overlay, so
+    without an ORDER BY its rows match the other paths' as a multiset only.
+    Every other path — row layouts, the interpreted executor, pushdown off —
+    reconciles through the key-ordered merge and is compared as a sequence.
+    """
+    ordered = any(isinstance(op, OrderByNode) for op in query.build_plan().breakers)
+    return (
+        executor == "batch" and layout in ("apax", "amax") and pushdown and not ordered
+    )
+
+
+def _multiset(rows) -> str:
+    return _canonical(sorted(rows, key=_canonical))
 
 
 # -- scans and point lookups -----------------------------------------------------------
@@ -240,15 +260,26 @@ def _query_suite():
 def test_query_suite_identical_across_layouts_and_pushdown(stores, executor):
     for query_factory in _query_suite():
         reference = None
-        for layout in LAYOUTS:
+        for layout in LAYOUTS:  # "open" leads: the reference is in key order
             for pushdown in (True, False):
-                rows = query_factory("docs").execute(
+                query = query_factory("docs")
+                rows = query.execute(
                     stores[layout], executor=executor, pushdown=pushdown
                 )
                 payload = _canonical(rows)
                 if reference is None:
                     reference = payload
-                assert payload == reference, (
+                if emits_by_component(query, layout, executor, pushdown):
+                    # ...in an order of its own, the same on every run.
+                    rerun = query.execute(
+                        stores[layout], executor=executor, pushdown=pushdown
+                    )
+                    assert _canonical(rerun) == payload
+                    payload = _multiset(rows)
+                    expected = _multiset(json.loads(reference))
+                else:
+                    expected = reference
+                assert payload == expected, (
                     f"{query_factory.__name__} diverges on {layout} "
                     f"(pushdown={pushdown}, executor={executor})"
                 )

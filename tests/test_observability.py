@@ -274,6 +274,37 @@ def test_span_tree_covers_every_plan_node_exactly_once(executor):
         store.close()
 
 
+def test_scan_span_says_what_the_batch_scan_did(monkeypatch):
+    from repro.query import batch_executor
+
+    store = Datastore(StoreConfig(partitions_per_node=3))
+    try:
+        dataset = store.create_dataset("d", layout="amax")
+        dataset.insert_many(DOCS)
+        dataset.flush_all()
+        dataset.insert({"id": 3, "g": 3, "v": 3.5})  # upsert of a flushed key
+        dataset.insert({"id": 1000, "g": 0, "v": 1.0})
+        text = "SELECT COUNT(*) AS n, MAX(t.v) AS hi FROM d AS t WHERE t.v >= 0;"
+        assert store.query(text) == [{"n": len(DOCS) + 1, "hi": 159.0}]
+        (scan,) = _find_spans(store.last_trace.root, "DataScanNode")
+        assert scan.attrs["scan_mode"] == "direct"
+        assert (scan.attrs["overlay_rows"], scan.attrs["shadowed_rows"]) == (2, 1)
+        assert "fallback_reason" not in scan.attrs
+
+        # Every distinct per-partition reason, sorted — not just the first.
+        verdicts = iter([(None, "schema"), ([], None), (None, "layout")])
+        monkeypatch.setattr(
+            batch_executor, "_direct_components", lambda snapshot, spec: next(verdicts)
+        )
+        store.query(text)
+        (scan,) = _find_spans(store.last_trace.root, "DataScanNode")
+        assert scan.attrs["scan_mode"] == "reconciled"
+        assert scan.attrs["fallback_reason"] == "layout,schema"
+        assert "overlay_rows" not in scan.attrs
+    finally:
+        store.close()
+
+
 def test_trace_roundtrips_through_dict_and_renders():
     store = make_store()
     try:

@@ -7,7 +7,13 @@ scan: missing / empty / null arrays, elements missing a field, null and scalar
 elements, nested arrays, a column inferred mid-flush (back-filled), anti-matter
 inside a leaf group, disjoint and overlapping components, live memtables and
 pushed parent predicates.  Every case also asserts *which* scan ran, through
-the ``DataScanNode`` span's ``scan_mode`` / ``fallback_reason``.
+the ``DataScanNode`` span's ``scan_mode`` / ``fallback_reason`` (and, for the
+direct scan, its ``overlay_rows`` / ``shadowed_rows``): the reconciliation
+shapes the direct scan decides in place — upserts and deletes of flushed keys,
+delete → re-insert, a failing newer version, a pruned group that still
+shadows, cross-type keys — are pinned here too.  What a live memtable may cost
+in I/O, frozen memtables and random write interleavings are in
+``test_direct_scan_overlay.py``.
 
 The last section checks the point of the exercise on the Figure 14 data: the
 sensors queries and ``wos_q2`` assemble nothing and read only the columns
@@ -94,8 +100,8 @@ def plain_batch(start, stop):
     return documents
 
 
-def build(layout, flushes, memtable=(), deletes=()):
-    store = Datastore(StoreConfig(partitions_per_node=1))
+def build(layout, flushes, memtable=(), deletes=(), **config):
+    store = Datastore(StoreConfig(**{"partitions_per_node": 1, **config}))
     dataset = store.create_dataset("d", layout=layout)
     for documents, removed in flushes:
         dataset.insert_many(documents)
@@ -122,9 +128,15 @@ def _canonical(rows):
     return sorted(repr(row) for row in rows)
 
 
-def check(store, queries=QUERIES, mode="direct", reason=None):
+def check(
+    store, queries=QUERIES, mode="direct", reason=None, overlay=0, shadowed=0,
+    filtered=(),
+):
     """Every query agrees with the oracle on the fast executor, having taken
-    the expected scan."""
+    the expected scan.  ``overlay`` / ``shadowed`` are the direct scan's
+    expected row counters (None: whatever they come to); ``filtered`` names
+    the queries whose parent predicates drop every overlay row before the
+    UNNEST operator sees it."""
     for text in queries:
         oracle = _canonical(store.query(text, executor="interpreted"))
         for executor in FAST:
@@ -133,13 +145,18 @@ def check(store, queries=QUERIES, mode="direct", reason=None):
             (scan,) = _find_spans(store.last_trace.root, "DataScanNode")
             assert scan.attrs["scan_mode"] == mode, (executor, text, scan.attrs)
             assert scan.attrs.get("fallback_reason") == reason, (executor, text)
+            for name, rows in (("overlay_rows", overlay), ("shadowed_rows", shadowed)):
+                if mode == "direct" and rows is not None:
+                    assert scan.attrs[name] == rows, (text, scan.attrs)
+            if "UNNEST" not in text:
+                continue
             # Exactly one UNNEST span either way: a marker when the scan did
-            # the work, the operator itself when the scan fell back.
+            # all of the work, the operator itself when rows went through it
+            # (the reconciled scan's, or a direct scan's memtable overlay).
             (unnest,) = _find_spans(store.last_trace.root, "UnnestNode")
-            assert unnest.attrs.get("pushed", False) is (mode == "direct"), (
-                executor,
-                text,
-            )
+            if overlay is not None:
+                marker = mode == "direct" and (not overlay or text in filtered)
+                assert unnest.attrs.get("pushed", False) is marker, (executor, text)
 
 
 # ======================================================================================
@@ -263,7 +280,7 @@ def test_figure11_array_of_scalars(layout):
 
 
 # ======================================================================================
-# Shapes that must fall back — and still agree
+# Shapes that must fall back — and still agree — and shapes reconciled in place
 # ======================================================================================
 
 SCHEMA_FALLBACKS = {
@@ -294,35 +311,209 @@ def test_heterogeneous_arrays_fall_back_on_schema(layout, shape):
 
 
 @pytest.mark.parametrize("layout", COLUMNAR)
-def test_overlapping_components_fall_back(layout):
-    # The second flush rewrites keys of the first: newest-wins reconciliation
-    # is required, which only the reconciling scan performs.
+def test_overlapping_components_are_shadowed(layout):
+    # The second flush rewrites three keys of the first and deletes a fourth:
+    # newest-wins is decided by the older component dropping the four keys
+    # the newer one holds.
     updates = [sensor(key, readings=[reading(0, temp=40 + key)]) for key in (3, 9, 20)]
     store = build(layout, [(plain_batch(0, 40), ()), (updates, (5,))])
     try:
-        check(store, mode="reconciled", reason="overlap")
+        check(store, shadowed=4)
+    finally:
+        store.close()
+
+
+@pytest.mark.parametrize("key", (200, 202))
+@pytest.mark.parametrize("layout", COLUMNAR)
+def test_live_memtable_is_overlaid(layout, key):
+    # One new key is overlaid as a row batch, one anti-matter entry shadows
+    # flushed key 4.  202 % 11 == 4 passes every parent predicate of QUERIES,
+    # so the UNNEST operator always sees the overlay; 200 % 11 == 2 fails the
+    # ``report_time > 2`` that QUERIES[5] applies ahead of its UNNEST, whose
+    # span therefore stays the pushed marker: nothing reached the operator.
+    store = build(
+        layout,
+        [(plain_batch(0, 40), ())],
+        memtable=[sensor(key, readings=[reading(0, temp=22)], games=["game9"])],
+        deletes=(4,),
+    )
+    try:
+        filtered = (QUERIES[5],) if key == 200 else ()
+        check(store, overlay=1, shadowed=1, filtered=filtered)
+        # Where rows did go through the operator, the span is its own: the
+        # already-unnested component rows pass through it and are counted.
+        (count,) = store.query(QUERIES[0])
+        (unnest,) = _find_spans(store.last_trace.root, "UnnestNode")
+        assert "pushed" not in unnest.attrs
+        assert unnest.attrs["rows_out"] == count["c"]
+    finally:
+        store.close()
+
+
+def _fresh(key, temp, **extra):
+    """A newer version of ``key``; 106 % 11 == 7 passes every parent predicate."""
+    return sensor(key, readings=[reading(0, temp=temp)], games=["game9"], **extra)
+
+
+#: Keys 50..52 (report_time 6..8) pass QUERIES[5]'s pushed ``report_time > 2
+#: AND report_time < 9`` with temperatures no other record reaches: an older
+#: version that resurfaced would show in every MAX.
+PASSING = [_fresh(key, 900 + key) for key in (50, 51, 52)]
+
+#: shape → (flushes, memtable, memtable deletes, overlay_rows, shadowed_rows):
+#: what the old "nothing to reconcile" gates used to hide.  Anti-matter
+#: records are dropped by their own flag, never counted as shadowed.
+IN_PLACE = {
+    "memtable upsert and delete of flushed keys": (
+        [(plain_batch(0, 40), ())],
+        [_fresh(7, 99), _fresh(106, 60)],
+        (8, 777),  # 777 never existed: shadows nothing
+        2,
+        2,
+    ),
+    "delete then re-insert across three components": (
+        [
+            (plain_batch(0, 20), ()),
+            ([_fresh(6, 70)], (5,)),
+            ([_fresh(5, 80)], ()),  # back again, two components above the first
+        ],
+        (),
+        (),
+        0,
+        2,  # the oldest 5 (hidden twice over, counted once) and the oldest 6
+    ),
+    "and deleted again from the memtable": (
+        [(plain_batch(0, 20), ()), ([_fresh(6, 70)], (5,)), ([_fresh(5, 80)], ())],
+        (),
+        (5,),
+        0,
+        3,
+    ),
+    # The newer version of 50 fails the pushed predicate its flushed version
+    # passes: that one must stay hidden all the same.
+    "failing newer version in the memtable": (
+        [(plain_batch(0, 40) + PASSING, ())],
+        [_fresh(50, 30, report_time=20), _fresh(106, 60)],
+        (),
+        2,
+        1,
+    ),
+    "failing newer version in a newer component": (
+        [
+            (plain_batch(0, 40) + PASSING, ()),
+            ([_fresh(50, 30, report_time=20), _fresh(106, 60)], ()),
+        ],
+        (),
+        (),
+        0,
+        1,
+    ),
+    "anti-matter-only component": (
+        [(plain_batch(0, 20), ()), ([], (3, 4, 99))],
+        (),
+        (),
+        0,
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(IN_PLACE))
+@pytest.mark.parametrize("layout", COLUMNAR)
+def test_newest_wins_is_decided_in_place(layout, shape):
+    flushes, memtable, deletes, overlay, shadowed = IN_PLACE[shape]
+    store = build(layout, flushes, memtable=memtable, deletes=deletes)
+    try:
+        (partition,) = store.dataset("d").partitions
+        assert len(partition.components) == len(flushes)
+        check(store, overlay=overlay, shadowed=shadowed)
     finally:
         store.close()
 
 
 @pytest.mark.parametrize("layout", COLUMNAR)
-def test_live_memtable_falls_back(layout):
+def test_group_pruned_by_min_max_still_shadows_the_older_component(
+    layout, monkeypatch
+):
+    # Every record of the newer component fails ``report_time < 9``.
+    updates = [_fresh(key, 1, report_time=20) for key in (50, 51, 52)]
+    store = build(layout, [(plain_batch(0, 40) + PASSING, ()), (updates, ())])
+    try:
+        newest, oldest = store.dataset("d").partitions[0].components
+        decoded = []
+        for cls in {type(group) for group in newest.groups}:
+            original = cls.read_columns
+
+            def spy(group, columns, original=original):
+                columns = list(columns)
+                decoded.append((group, [column.is_primary_key for column in columns]))
+                return original(group, columns)
+
+            monkeypatch.setattr(cls, "read_columns", spy)
+        rows = store.query(QUERIES[5], executor="batch")
+        assert max(row["hi"] for row in rows) < 900
+        # Min/max pruning skips the newer component's groups — the scan decodes
+        # no value column of them — yet their keys (read keys-only, for the
+        # shadow) hide 50, 51 and 52 below.
+        of_newest = [flags for group, flags in decoded if group in newest.groups]
+        assert of_newest and all(flags == [True] for flags in of_newest)
+        assert any(
+            not all(flags) for group, flags in decoded if group in oldest.groups
+        )
+        monkeypatch.undo()
+        check(store, shadowed=3)
+    finally:
+        store.close()
+
+
+@pytest.mark.parametrize("layout", COLUMNAR)
+def test_equal_keys_of_other_types_shadow_like_the_memtable_conflates_them(layout):
+    """1 / 1.0 / True are one dict key — in the memtable and in the shadow."""
+    store = build(layout, [(plain_batch(0, 5), ())])
+    partition = store.dataset("d").partitions[0]
+    try:
+        # The routed insert path only admits int and str keys; a float or
+        # bool key can only reach a memtable directly.
+        memtable = partition.memtable
+        memtable.put(1.0, {**_fresh(1, 77, report_time=5), "id": 1.0})
+        memtable.put(True, {**_fresh(1, 88, report_time=5), "id": True})  # over 1.0
+        memtable.delete(2.0)
+        check(store, overlay=1, shadowed=2)
+        (row,) = store.query(QUERIES[1])
+        assert row["hi"] == 88
+    finally:
+        # Such keys cannot be flushed (a durable store's close would try).
+        partition.memtable = type(partition.memtable)(partition.memtable.budget_bytes)
+        store.close()
+
+
+@pytest.mark.parametrize("layout", COLUMNAR)
+def test_incomparable_key_spans_count_as_intersecting(layout):
+    """String keys over an integer-keyed component: no order between the
+    spans, so the shadow is simply consulted.  (The oracle's heap merge cannot
+    order such keys at all — the expected answer is spelled out.)"""
     store = build(
         layout,
-        [(plain_batch(0, 40), ())],
-        memtable=[sensor(200, readings=[reading(0, temp=22)], games=["game9"])],
-        deletes=(4,),
+        [([_fresh(key, 10 + key) for key in range(5)], ())],
+        memtable=[{**_fresh(0, 60), "id": "a"}, {**_fresh(1, 70), "id": "b"}],
     )
     try:
-        check(store, mode="reconciled", reason="memtable")
+        with pytest.raises(TypeError):
+            store.query(QUERIES[1], executor="interpreted")
+        assert store.query(QUERIES[1], executor="batch") == [
+            {"hi": 70, "lo": 10, "c": 7}
+        ]
+        (scan,) = _find_spans(store.last_trace.root, "DataScanNode")
+        assert scan.attrs["scan_mode"] == "direct"
+        assert (scan.attrs["overlay_rows"], scan.attrs["shadowed_rows"]) == (2, 0)
     finally:
         store.close()
 
 
 @pytest.mark.parametrize("layout", COLUMNAR)
 def test_partitions_choose_independently(layout):
-    """One partition with a live memtable runs the UNNEST operator on its row
-    batches while the other's direct batches arrive already unnested."""
+    """One partition with a live memtable runs the UNNEST operator on its
+    overlay batch while every component batch arrives already unnested."""
     from repro.query.batch_executor import source_batches
     from repro.sqlpp import compile_query
 
@@ -340,7 +531,7 @@ def test_partitions_choose_independently(layout):
             for batch in source_batches(store, plan)
         }
         assert shapes == {(True, True), (False, False)}
-        check(store, mode="reconciled", reason="memtable")
+        check(store, overlay=1)
     finally:
         store.close()
 
