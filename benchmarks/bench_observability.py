@@ -25,7 +25,7 @@ import time
 
 from repro.bench.reporting import print_figure, write_bench_json
 from repro.datasets.generators import make_generator
-from repro.net.server import EngineSessionHandler, WireServer
+from repro.net.server import SessionHandler, WireServer
 from repro.query.executor import DEFAULT_EXECUTOR
 from repro.shard.coordinator import ShardedDatastore
 from repro.store import Datastore, StoreConfig
@@ -169,7 +169,7 @@ class _ServerThread:
         import asyncio
 
         self.server = WireServer(
-            lambda: EngineSessionHandler(store), metrics=store.metrics
+            lambda: SessionHandler(store), metrics=store.metrics
         )
         started = threading.Event()
 
@@ -212,7 +212,7 @@ def _run_sharded(observability: bool, documents) -> dict:
     try:
         sharded.create_dataset("cell", layout="amax", primary_key_field="id")
         start = time.perf_counter()
-        inserted = sharded.insert_many("cell", documents)
+        inserted = sharded.dataset("cell").insert_many(documents)
         load_s = time.perf_counter() - start
         assert inserted == len(documents)
         for text in AGGREGATE_SQL:  # warm-up

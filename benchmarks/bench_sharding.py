@@ -28,7 +28,7 @@ import time
 from repro.bench.reporting import print_figure, write_bench_json
 from repro.datasets.generators import make_generator
 from repro.net.client import WireClient
-from repro.net.server import EngineSessionHandler, WireServer
+from repro.net.server import SessionHandler, WireServer
 from repro.shard.coordinator import ShardCluster
 from repro.store import Datastore, StoreConfig
 
@@ -78,7 +78,7 @@ def _run_cluster(num_shards: int, data_root: str, documents) -> dict:
         with cluster.connect() as sharded:
             sharded.create_dataset("calls", layout="amax")
             start = time.perf_counter()
-            inserted = sharded.insert_many("calls", documents)
+            inserted = sharded.dataset("calls").insert_many(documents)
             sharded.checkpoint()  # flush so queries scan real pages
             load_s = time.perf_counter() - start
             assert inserted == len(documents)
@@ -90,7 +90,8 @@ def _run_cluster(num_shards: int, data_root: str, documents) -> dict:
             start = time.perf_counter()
             for _ in range(QUERY_ROUNDS):
                 answers = [sharded.query(text) for text in SHARD_QUERIES]
-                transferred += sharded.last_query_stats.rows_transferred
+                # Rows the round's last query moved: its merge span's rows_in.
+                transferred += sharded.last_trace.find("merge").attrs["rows_in"]
             query_s = time.perf_counter() - start
     return {
         "load_s": load_s,
@@ -173,7 +174,7 @@ class _ServerThread:
 
     def __init__(self, store: Datastore) -> None:
         self.server = WireServer(
-            lambda: EngineSessionHandler(store), backend_close=store.close
+            lambda: SessionHandler(store), backend_close=store.close
         )
         started = threading.Event()
 

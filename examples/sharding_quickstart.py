@@ -8,8 +8,9 @@ This is the programmatic twin of the server quickstart in the README:
 :class:`~repro.shard.coordinator.ShardCluster` spawns one ``python -m
 repro.server`` engine process per shard (each with its own durable store
 directory, manifest, and WAL), and :class:`~repro.shard.coordinator.
-ShardedDatastore` routes point operations by hashed primary key while
-running SELECTs as scatter-gather with partial-aggregate pushdown.
+ShardedDatastore` routes point operations by hashed primary key
+(``store.dataset(name)`` is the routing view) while running SELECTs as
+scatter-gather with partial-aggregate pushdown.
 """
 
 from __future__ import annotations
@@ -29,21 +30,24 @@ def main(num_shards: int = 2) -> None:
                 print(f"cluster up: {num_shards} shards at {cluster.live_addresses()}")
 
                 store.create_dataset("calls", layout="amax")
-                store.insert_many("calls", documents)
-                print(f"inserted {store.count('calls')} call records")
+                calls = store.dataset("calls")  # routes by hashed primary key
+                calls.insert_many(documents)
+                print(f"inserted {calls.count()} call records")
                 for key in (1, 2, 3):
                     owner = shard_for_key(key, num_shards)
                     print(f"  key {key} lives on shard {owner}: "
-                          f"{store.point_lookup('calls', key)['caller']}")
+                          f"{calls.point_lookup(key)['caller']}")
 
                 rows = store.query(
                     "SELECT AVG(c.duration) AS avg_duration, "
                     "COUNT(*) AS calls FROM calls AS c;"
                 )
-                stats = store.last_query_stats
+                # What the statement moved is on its span tree: the merge
+                # span counts the rows that crossed the wire (rows_in).
+                merge = store.last_trace.find("merge")
                 print(f"aggregate answer: {rows[0]}")
                 print(
-                    f"pushdown proof: {stats.rows_transferred} partial rows "
+                    f"pushdown proof: {merge.attrs['rows_in']} partial rows "
                     f"crossed the wire (one per shard), not "
                     f"{len(documents)} documents"
                 )
@@ -66,8 +70,8 @@ def main(num_shards: int = 2) -> None:
                     f"shard {victim} back at {address[0]}:{address[1]}, "
                     f"replayed {recovery['wal_records_replayed']} WAL records"
                 )
-                print(f"count after recovery: {store.count('calls')}")
-                print(f"key 1 still readable: {store.point_lookup('calls', 1)['caller']}")
+                print(f"count after recovery: {calls.count()}")
+                print(f"key 1 still readable: {calls.point_lookup(1)['caller']}")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """Asyncio wire server: many concurrent clients over one statement backend.
 
 The server owns the sockets and the frame protocol; *what* a request does is
-delegated to a per-connection session handler produced by a factory — the
-:class:`EngineSessionHandler` here (one snapshot-isolated
-:class:`~repro.store.datastore.Datastore` shared by every connection), or
-the coordinator-mode handler from :mod:`repro.shard.coordinator`.
+delegated to a per-connection :class:`SessionHandler` produced by a factory.
+One handler class serves both roles — every connection of an engine shares
+one snapshot-isolated :class:`~repro.store.datastore.Datastore`, every
+connection of a coordinator one
+:class:`~repro.shard.coordinator.ShardedDatastore`:
+``WireServer → SessionHandler → StatementSession → store``.
 
 Concurrency model: the asyncio loop multiplexes connections; each request's
 (blocking, GIL-releasing on I/O) execution is offloaded to a thread pool, so
@@ -26,8 +28,7 @@ import signal
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..model.errors import ReproError
 from ..obs import MetricsRegistry, new_query_id
@@ -41,7 +42,7 @@ from .protocol import (
     frame_length,
     hello_frame,
 )
-from .session import StatementSession
+from .session import StatementSession, insert_documents
 
 #: Default size of the statement-execution thread pool.
 DEFAULT_EXECUTOR_WORKERS = 8
@@ -50,15 +51,19 @@ DEFAULT_EXECUTOR_WORKERS = 8
 DEFAULT_DRAIN_TIMEOUT = 10.0
 
 
-class EngineSessionHandler:
-    """Request handler for one connection against a local datastore.
+class SessionHandler:
+    """Request handler for one connection, over either kind of store.
 
-    ``handle`` runs on a worker thread; it returns ``(rows, done_payload)``
-    where ``rows`` is None for status-only responses.  Statement-level I/O is
-    measured as a delta over the store's shared device counters, so the done
-    frame reports the pages the statement touched (including parallel
-    scan-pool workers; overlapping statements may overcount, never
-    undercount).
+    The same ops serve an engine (:class:`~repro.store.datastore.Datastore`)
+    and a shard coordinator
+    (:class:`~repro.shard.coordinator.ShardedDatastore`): both stores provide
+    the surface used below, and differ only in who runs a compiled SELECT and
+    who owns a key.  ``handle`` runs on a worker thread; it returns ``(rows,
+    done_payload)`` where ``rows`` is None for status-only responses.
+    Statement-level I/O is measured as a delta over the store's shared
+    counters (device pages on an engine, what the shards' done frames
+    reported on a coordinator), so overlapping statements may overcount,
+    never undercount.
     """
 
     def __init__(self, store) -> None:
@@ -85,111 +90,41 @@ class EngineSessionHandler:
 
     # -- ops ---------------------------------------------------------------------------
     def _op_statement(self, request: dict) -> Tuple[Optional[list], dict]:
-        text = request["text"]
-        executor = request.get("executor")
-        pushdown = request.get("pushdown", True)
-        batch_size = request.get("batch_size")
+        # A shard-side fragment is always traced: the coordinator stitches the
+        # returned span tree under its own scatter span.
+        partial = request.get("mode", "full") == "partial"
         before = self.store.io_snapshot()
-        if request.get("mode", "full") == "partial":
-            # Shard-side fragments are always traced: the coordinator stitches
-            # the returned span tree under its own scatter span.
-            with self.store.traced_statement(
-                text, executor=executor, query_id=self.current_query_id
-            ) as trace:
-                rows = self._partial_rows(text, executor, pushdown, batch_size)
-            status = sequence = explain_text = None
-            trace_dict = trace.to_dict() if trace is not None else None
-        else:
-            outcome = self.session.execute(
-                text,
-                executor=executor,
-                explain=request.get("explain", False),
-                pushdown=pushdown,
-                batch_size=batch_size,
-                query_id=self.current_query_id,
-            )
-            rows = outcome.rows
-            status = outcome.status
-            sequence = outcome.sequence
-            explain_text = outcome.explain_text
-            trace_dict = outcome.trace if request.get("trace") else None
+        outcome = self.session.execute(
+            request["text"],
+            executor=request.get("executor"),
+            explain=request.get("explain", False),
+            pushdown=request.get("pushdown", True),
+            batch_size=request.get("batch_size"),
+            query_id=self.current_query_id,
+            partial=partial,
+        )
         delta = self.store.io_stats.delta_since(before)
-        done = {"type": "done", "io": delta.as_dict()}
-        if trace_dict is not None:
-            done["trace"] = trace_dict
-        if rows is not None:
+        done = {"type": "done", "io": delta.as_dict(), **self.store.topology}
+        if outcome.trace is not None and (partial or request.get("trace")):
+            done["trace"] = outcome.trace.to_dict()
+        if outcome.rows is not None:
             done["result"] = "rows"
-            done["rows_returned"] = len(rows)
+            done["rows_returned"] = len(outcome.rows)
         else:
             done["result"] = "status"
-            done["status"] = status
-        if sequence is not None:
-            done["sequence"] = sequence
-        if explain_text is not None:
-            done["explain"] = explain_text
-        return rows, done
-
-    def _partial_rows(
-        self, text: str, executor: str, pushdown: bool, batch_size
-    ) -> list:
-        """Execute the shard-local fragment of a scatter-gather statement.
-
-        Coordinator and shard derive the *same* split from the statement text
-        (:func:`repro.shard.partial.split_query` is deterministic), so no
-        plan serialization crosses the wire — only SQL++ text and partial
-        rows.
-        """
-        from ..model.errors import QueryError
-        from ..shard.partial import split_query
-        from ..sqlpp import compile_query
-
-        compiled = compile_query(text)
-        if compiled.query is None:
-            # FROM-less statements are evaluated at the coordinator; answering
-            # them here too keeps the op total rather than erroring.
-            return compiled.execute(None, executor=executor)
-        split = split_query(compiled.query, pk_fields=self._pk_fields())
-        if split.kind == "fetch":
-            raise QueryError(
-                "joins and subqueries run at the coordinator over fetched "
-                "datasets; this shard cannot execute a partial fragment"
-            )
-        return split.local_query.execute(
-            self.store, executor=executor, pushdown=pushdown, batch_size=batch_size
-        )
-
-    def _pk_fields(self) -> dict:
-        """Dataset → primary-key field, for split derivation (co-hashed joins)."""
-        return {
-            name: dataset.primary_key_field
-            for name, dataset in self.store.datasets.items()
-        }
+            done["status"] = outcome.status
+        if outcome.sequence is not None:
+            done["sequence"] = outcome.sequence
+        if outcome.explain_text is not None:
+            done["explain"] = outcome.explain_text
+        return outcome.rows, done
 
     def _op_explain(self, request: dict) -> Tuple[Optional[list], dict]:
-        if request.get("mode") == "partial":
-            # Distributed EXPLAIN: render the plan of this shard's *local
-            # fragment* (the coordinator glues on the merge fragment).
-            from ..shard.partial import split_query
-            from ..sqlpp import compile_query
-
-            compiled = compile_query(request["text"])
-            if compiled.query is None:
-                text = compiled.explain(None)
-            elif (
-                split := split_query(compiled.query, pk_fields=self._pk_fields())
-            ).kind == "fetch":
-                text = "FETCH (executed at the coordinator; no shard fragment)"
-            else:
-                text = split.local_query.explain(
-                    self.store,
-                    executor=request.get("executor"),
-                    analyze=request.get("analyze", False),
-                )
-            return None, {"type": "done", "text": text}
         text = self.store.explain(
             request["text"],
             executor=request.get("executor"),
             analyze=request.get("analyze", False),
+            partial=request.get("mode") == "partial",
         )
         return None, {"type": "done", "text": text}
 
@@ -204,21 +139,17 @@ class EngineSessionHandler:
     def _op_insert(self, request: dict) -> Tuple[Optional[list], dict]:
         dataset = self.store.dataset(request["dataset"])
         before = self.store.io_snapshot()
-        sequences: List[Optional[int]] = [
-            dataset.insert(document) for document in request["documents"]
-        ]
+        count, sequence = insert_documents(dataset, request["documents"])
         delta = self.store.io_stats.delta_since(before)
         return None, {
             "type": "done",
-            "count": len(sequences),
-            "sequence": sequences[-1] if len(sequences) == 1 else None,
-            "sequences": sequences,
+            "count": count,
+            "sequence": sequence,
             "io": delta.as_dict(),
         }
 
     def _op_delete(self, request: dict) -> Tuple[Optional[list], dict]:
-        dataset = self.store.dataset(request["dataset"])
-        sequence = dataset.delete(request["key"])
+        sequence = self.store.dataset(request["dataset"]).delete(request["key"])
         return None, {"type": "done", "sequence": sequence}
 
     def _op_lookup(self, request: dict) -> Tuple[Optional[list], dict]:
@@ -234,19 +165,13 @@ class EngineSessionHandler:
         }
 
     def _op_count(self, request: dict) -> Tuple[Optional[list], dict]:
-        dataset = self.store.dataset(request["dataset"])
-        return None, {"type": "done", "count": dataset.count()}
+        return None, {
+            "type": "done",
+            "count": self.store.dataset(request["dataset"]).count(),
+        }
 
     def _op_list_datasets(self, request: dict) -> Tuple[Optional[list], dict]:
-        rows = [
-            {
-                "name": name,
-                "layout": dataset.layout,
-                "records": dataset.count(),
-                "primary_key": dataset.primary_key_field,
-            }
-            for name, dataset in sorted(self.store.datasets.items())
-        ]
+        rows = self.store.list_datasets()
         return rows, {"type": "done", "result": "rows", "rows_returned": len(rows)}
 
     def _op_checkpoint(self, request: dict) -> Tuple[Optional[list], dict]:
@@ -254,10 +179,9 @@ class EngineSessionHandler:
         return None, {"type": "done"}
 
     def _op_recovery_info(self, request: dict) -> Tuple[Optional[list], dict]:
-        info = self.store.last_recovery
         return None, {
             "type": "done",
-            "recovery": None if info is None else asdict(info),
+            "recovery": self.store.recovery_info(request.get("shard", 0)),
         }
 
     def _op_metrics(self, request: dict) -> Tuple[Optional[list], dict]:
@@ -283,7 +207,7 @@ class WireServer:
 
     Args:
         session_factory: Produces one request handler per connection (e.g.
-            ``lambda: EngineSessionHandler(store)``).
+            ``lambda: SessionHandler(store)``).
         host/port: Bind address; port 0 picks a free port (``bound_port``
             holds the real one after :meth:`start`).
         role: Advertised in the hello frame (``"engine"``/``"coordinator"``).

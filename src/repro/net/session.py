@@ -1,10 +1,15 @@
-"""One client's statement-execution session against a local datastore.
+"""One client's statement-execution session against a store.
 
-This is the statement engine behind both the interactive shell
-(:mod:`repro.shell`) and the wire server (:mod:`repro.net.server`): it
-parses any statement kind (SELECT, INSERT, DELETE, BEGIN/COMMIT/ROLLBACK),
-tracks the session's open transaction, and renders the exact status strings
-the shell has always printed.  Transaction misuse raises
+This is the statement engine behind the interactive shell
+(:mod:`repro.shell`) and the wire server (:mod:`repro.net.server`) in both
+of its roles: it parses any statement kind (SELECT, INSERT, DELETE,
+BEGIN/COMMIT/ROLLBACK) exactly once, tracks the session's open transaction,
+and renders the exact status strings the shell has always printed.  What it
+asks of the store is small — ``traced_statement``, ``run`` / ``explain`` of a
+compiled SELECT, ``dataset(name)`` for keyed writes, ``begin()`` — and both
+:class:`~repro.store.datastore.Datastore` and
+:class:`~repro.shard.coordinator.ShardedDatastore` provide it, so nothing
+here knows which one it drives.  Transaction misuse raises
 :class:`~repro.model.errors.SqlppError` with the statement's source
 position, in the same style as parse and bind errors.
 """
@@ -32,13 +37,21 @@ class StatementOutcome:
     status: Optional[str] = None
     sequence: Optional[int] = None
     explain_text: Optional[str] = None
-    #: Identifier of the traced statement (queries only; None when the
-    #: store's observability is off or the statement was DML/transaction
-    #: control, where the caller's own query_id still names the request).
-    query_id: Optional[str] = None
-    #: Serialized span tree (:meth:`repro.obs.QueryTrace.to_dict`), for wire
-    #: done frames; None when not traced.
-    trace: Optional[dict] = None
+    #: The statement's own :class:`repro.obs.QueryTrace` (queries only; None
+    #: when the store's observability is off).
+    trace: Optional[object] = None
+
+
+def insert_documents(dataset, documents: list):
+    """Auto-committed insert of a request's documents: ``(count, sequence)``.
+
+    One document reports its commit sequence (write histories are recorded
+    from it); several go through ``insert_many`` — which a coordinator's
+    routing view spreads over its shards concurrently — and report none.
+    """
+    if len(documents) == 1:
+        return 1, dataset.insert(documents[0])
+    return dataset.insert_many(documents), None
 
 
 class StatementSession:
@@ -62,19 +75,21 @@ class StatementSession:
         pushdown: bool = True,
         batch_size: Optional[int] = None,
         query_id: Optional[str] = None,
+        partial: bool = False,
     ) -> StatementOutcome:
         """Parse and execute one statement of any kind.
 
-        Query statements run inside the store's
-        :meth:`~repro.store.datastore.Datastore.traced_statement` (under
-        ``query_id`` when given), so the outcome carries the serialized span
-        tree for wire clients.
+        Query statements run inside the store's ``traced_statement`` (under
+        ``query_id`` when given) and the outcome carries that trace — the
+        statement's own, never whatever the shared store traced last.
+        ``partial`` asks the store for its fragment of a scatter-gather
+        statement only (what a coordinator sends its shards).
 
         Raises :class:`~repro.model.errors.ReproError` subclasses on failure.
         """
         import time
 
-        from ..model.errors import SqlppError
+        from ..model.errors import SqlppError, TransactionError
         from ..obs import record_span, span
         from ..sqlpp import (
             BeginStatement,
@@ -98,7 +113,12 @@ class StatementSession:
                     statement.line,
                     statement.column,
                 )
-            self.txn = self.store.begin()
+            try:
+                self.txn = self.store.begin()
+            except TransactionError as error:  # the store says why, we say where
+                raise SqlppError(
+                    f"{error} at {statement.where}", statement.line, statement.column
+                ) from None
             return StatementOutcome(status=f"BEGIN (transaction #{self.txn.id})")
         if isinstance(statement, CommitStatement):
             if self.txn is None:
@@ -142,14 +162,10 @@ class StatementSession:
                 return StatementOutcome(
                     status=f"INSERT {len(documents)} (buffered in transaction)"
                 )
-            dataset = self.store.dataset(statement.dataset)
-            sequence = None
-            for document in documents:
-                sequence = dataset.insert(document)
-            return StatementOutcome(
-                status=f"INSERT {len(documents)}",
-                sequence=sequence if len(documents) == 1 else None,
+            count, sequence = insert_documents(
+                self.store.dataset(statement.dataset), documents
             )
+            return StatementOutcome(status=f"INSERT {count}", sequence=sequence)
         if isinstance(statement, DeleteStatement):
             dataset = self.store.dataset(statement.dataset)
             if statement.key_field != dataset.primary_key_field:
@@ -167,27 +183,23 @@ class StatementSession:
             sequence = dataset.delete(key)
             return StatementOutcome(status="DELETE 1", sequence=sequence)
         with self.store.traced_statement(
-            text, executor=executor, query_id=query_id
+            text, executor=executor, query_id=query_id, started=parse_started
         ) as trace:
             if trace is not None:
                 record_span("parse", parse_elapsed)
             with span("bind"):
-                compiled = compile_statement(statement)
+                compiled = compile_statement(statement, text)
             explain_text = None
             if explain and compiled.query is not None:
-                explain_text = compiled.explain(self.store, executor=executor)
-            rows = compiled.execute(
-                self.store,
+                explain_text = self.store.explain(compiled, executor=executor)
+            rows = self.store.run(
+                compiled,
                 executor=executor,
                 pushdown=pushdown,
                 batch_size=batch_size,
+                partial=partial,
             )
-        return StatementOutcome(
-            rows=rows,
-            explain_text=explain_text,
-            query_id=trace.query_id if trace is not None else query_id,
-            trace=trace.to_dict() if trace is not None else None,
-        )
+        return StatementOutcome(rows=rows, explain_text=explain_text, trace=trace)
 
     def close(self) -> Optional[str]:
         """Roll back an open transaction; returns the rollback notice, if any.

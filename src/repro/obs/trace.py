@@ -44,6 +44,16 @@ class Span:
         self.children.append(child)
         return child
 
+    def find(self, name: str) -> Optional["Span"]:
+        """The first span called ``name`` in this subtree (pre-order), or None."""
+        if self.name == name:
+            return self
+        for child in self.children:
+            found = child.find(name)
+            if found is not None:
+                return found
+        return None
+
     def to_dict(self) -> dict:
         payload: Dict[str, Any] = {
             "name": self.name,
@@ -77,6 +87,10 @@ class QueryTrace:
     @property
     def duration_s(self) -> float:
         return self.root.duration_s
+
+    def find(self, name: str) -> Optional[Span]:
+        """The first span called ``name`` (see :meth:`Span.find`), or None."""
+        return self.root.find(name)
 
     def to_dict(self) -> dict:
         return {
@@ -112,13 +126,15 @@ def current_span() -> Optional[Span]:
 
 
 @contextmanager
-def activate(trace: QueryTrace) -> Iterator[QueryTrace]:
-    """Make ``trace`` the calling thread's active trace; times the root span."""
+def activate(trace: QueryTrace, started: Optional[float] = None) -> Iterator[QueryTrace]:
+    """Make ``trace`` the calling thread's active trace; times the root span
+    (from ``started``, a ``perf_counter`` reading, when the statement's work
+    began before its trace could be opened)."""
     previous_trace = getattr(_ACTIVE, "trace", None)
     previous_stack = getattr(_ACTIVE, "stack", None)
     _ACTIVE.trace = trace
     _ACTIVE.stack = [trace.root]
-    start = time.perf_counter()
+    start = time.perf_counter() if started is None else started
     try:
         yield trace
     finally:

@@ -33,7 +33,7 @@ from typing import List, Optional, Tuple
 from .net.server import (
     DEFAULT_DRAIN_TIMEOUT,
     DEFAULT_EXECUTOR_WORKERS,
-    EngineSessionHandler,
+    SessionHandler,
     WireServer,
 )
 from .store.config import StoreConfig
@@ -91,13 +91,8 @@ def _write_ready_file(path: str, server: WireServer, role: str) -> None:
 
 async def _serve(args: argparse.Namespace) -> None:
     cluster = None
-    sharded = None
     if args.shards or args.shard_addrs:
-        from .shard.coordinator import (
-            CoordinatorSessionHandler,
-            ShardCluster,
-            ShardedDatastore,
-        )
+        from .shard.coordinator import ShardCluster, ShardedDatastore
 
         if args.shard_addrs:
             addresses: List[Tuple[str, int]] = args.shard_addrs
@@ -108,38 +103,30 @@ async def _serve(args: argparse.Namespace) -> None:
                 args.shards, args.data_dir, host=args.host
             )
             addresses = cluster.live_addresses()
-        sharded = ShardedDatastore(addresses)
+        store = ShardedDatastore(addresses)
         role = "coordinator"
-        metrics = sharded.metrics
 
         def backend_close() -> None:
             if cluster is not None:
-                sharded.shutdown_shards()  # graceful per-shard checkpoint
-            sharded.close()
+                store.shutdown_shards()  # graceful per-shard checkpoint
+            store.close()
             if cluster is not None:
                 cluster.terminate()
-
-        def session_factory() -> object:
-            return CoordinatorSessionHandler(sharded)
 
     else:
         store = _engine_store(args)
         role = "engine"
         backend_close = store.close
-        metrics = store.metrics
-
-        def session_factory() -> object:
-            return EngineSessionHandler(store)
 
     server = WireServer(
-        session_factory,
+        lambda: SessionHandler(store),  # one handler class, either store
         host=args.host,
         port=args.port,
         role=role,
         backend_close=backend_close,
         drain_timeout=args.drain_timeout,
         executor_workers=args.executor_workers,
-        metrics=metrics,
+        metrics=store.metrics,
     )
     await server.start()
     server.install_signal_handlers()

@@ -1,24 +1,31 @@
 """Shard coordinator: hash routing, scatter-gather, and cluster management.
 
 :class:`ShardedDatastore` is the client-side coordinator.  It holds a small
-pool of wire connections per shard, routes point operations (insert, delete,
-lookup) to the owning shard by :func:`shard_for_key` — the same stable
-CRC-32 hash the engine uses for intra-store partitioning, just modulo the
-shard count instead of the partition count — and executes queries as
-scatter-gather: every shard runs the same shard-local fragment
-(:func:`repro.shard.partial.split_query`), their partial rows stream back
-concurrently, and the coordinator merges
-(:func:`repro.shard.partial.merge_rows`) and finishes the plan.
+pool of wire connections per shard and provides the store surface the wire
+session (:mod:`repro.net.session`, :mod:`repro.net.server`) drives on a
+single :class:`~repro.store.datastore.Datastore` — so ``python -m
+repro.server --shards N`` serves the *sharded* store through the very same
+handler and protocol a single engine speaks.  Two things are its own:
+
+* *who owns a key* — :meth:`ShardedDatastore.dataset` returns a
+  :class:`RoutedDataset`, which sends point operations (insert, delete,
+  lookup) to the owning shard by :func:`shard_for_key` — the same stable
+  CRC-32 hash the engine uses for intra-store partitioning, just modulo the
+  shard count instead of the partition count;
+* *who runs a compiled SELECT* — :meth:`ShardedDatastore.run` executes it as
+  scatter-gather: every shard runs the same shard-local fragment
+  (:func:`repro.shard.partial.split_query`), their partial rows stream back
+  concurrently, and the coordinator merges
+  (:func:`repro.shard.partial.merge_rows`) and finishes the plan.  What a
+  statement moved is on its span tree, not on the store: ``merge`` carries
+  ``kind`` / ``rows_in`` (rows that crossed the wire) / ``rows_out``,
+  ``scatter`` carries ``shards``.
 
 :class:`ShardCluster` is the process manager: it spawns one ``python -m
 repro.server`` engine per shard, each with its own storage directory
 (independent manifests and WAL — per-shard recovery is the ordinary
 single-store open path), and supports killing and restarting individual
 shards for fault-injection tests.
-
-:class:`CoordinatorSessionHandler` plugs the coordinator into the wire
-server, so ``python -m repro.server --shards N`` serves the *sharded* store
-over the very same protocol a single engine speaks.
 """
 
 from __future__ import annotations
@@ -31,12 +38,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..lsm.keys import stable_key_hash
-from ..model.errors import DatasetError
+from ..model.errors import DatasetError, TransactionError
 from ..net.client import DEFAULT_TIMEOUT, RemoteError, StatementResult, WireClient
 from ..net.protocol import WireError
 from ..obs import (
@@ -46,13 +52,12 @@ from ..obs import (
     activate,
     annotate,
     current_trace,
-    new_query_id,
     render_trace,
     span,
 )
 from ..query.executor import resolve_executor, run_breakers
 from ..storage.stats import IOStats
-from .partial import SplitPlan, merge_rows, referenced_datasets, split_query
+from .partial import SplitPlan, compile_split, merge_rows
 
 #: Alias used when fetching whole datasets for coordinator-side execution.
 _FETCH_ALIAS = "doc"
@@ -164,31 +169,89 @@ class _ClientPool:
             client.close()
 
 
-@dataclass
-class ShardQueryStats:
-    """What the last scatter-gather query moved, for pushdown verification.
+class RoutedDataset:
+    """One dataset of a :class:`ShardedDatastore`: keyed operations, routed.
 
-    ``rows_transferred`` counts the rows that actually crossed the wire from
-    shards to coordinator — for a pushed-down COUNT(*) over N shards this is
-    exactly N (one partial row per shard), regardless of dataset size.
-    ``pages_read`` sums the per-shard page touches (device reads plus buffer
-    cache hits, including each shard's parallel scan-pool workers).
+    The counterpart of :class:`repro.store.dataset.Dataset` for the wire
+    session — same method names, but every call goes to the shard owning the
+    key (:func:`shard_for_key`), or to all of them for :meth:`count`.
     """
 
-    kind: str
-    shards: int
-    rows_transferred: int
-    rows_returned: int
-    pages_read: int
+    def __init__(self, store: "ShardedDatastore", name: str) -> None:
+        self.store = store
+        self.name = name
+
+    @property
+    def primary_key_field(self) -> str:
+        return self.store._primary_key(self.name)
+
+    def _owner(self, document: dict, pk: str) -> int:
+        try:
+            return shard_for_key(document[pk], self.store.num_shards)
+        except (TypeError, KeyError):
+            raise DatasetError(
+                f"document is missing the primary key field {pk!r}"
+            ) from None
+
+    def insert(self, document: dict) -> Optional[int]:
+        """Insert one document on its owning shard; returns that shard's
+        commit sequence (sequences are per-shard, like per-process)."""
+        result = self.store._request(
+            self._owner(document, self.primary_key_field),
+            {"op": "insert", "dataset": self.name, "documents": [document]},
+        )
+        return result.done.get("sequence")
+
+    def insert_many(self, documents: Sequence[dict]) -> int:
+        """Bulk insert: group by owning shard, load all shards concurrently."""
+        pk = self.primary_key_field
+        by_shard: Dict[int, List[dict]] = {}
+        for document in documents:
+            by_shard.setdefault(self._owner(document, pk), []).append(document)
+        futures = [
+            self.store._gather.submit(
+                self.store._request,
+                shard,
+                {
+                    "op": "insert",
+                    "dataset": self.name,
+                    "documents": docs[start : start + INSERT_CHUNK],
+                },
+            )
+            for shard, docs in by_shard.items()
+            for start in range(0, len(docs), INSERT_CHUNK)
+        ]
+        return sum(future.result().done["count"] for future in futures)
+
+    def delete(self, key) -> Optional[int]:
+        result = self.store._request(
+            shard_for_key(key, self.store.num_shards),
+            {"op": "delete", "dataset": self.name, "key": key},
+        )
+        return result.done.get("sequence")
+
+    def point_lookup(self, key, fields: Optional[List[str]] = None):
+        result = self.store._request(
+            shard_for_key(key, self.store.num_shards),
+            {"op": "lookup", "dataset": self.name, "key": key, "fields": fields},
+        )
+        return result.done.get("document")
+
+    def count(self) -> int:
+        results = self.store._scatter({"op": "count", "dataset": self.name})
+        return sum(result.done["count"] for result in results)
 
 
 class ShardedDatastore:
     """Client-side coordinator over N engine-server shards.
 
-    Mirrors the single-process :class:`~repro.store.datastore.Datastore`
-    query/DML surface closely enough that differential tests can run the
-    same workload against both; ``io_stats``/``io_snapshot`` accumulate the
-    per-request I/O the shards report in their done frames.
+    Provides the single-process :class:`~repro.store.datastore.Datastore`
+    surface the wire session and the differential tests drive — ``query`` /
+    ``run`` / ``explain``, ``dataset(name)``, ``create_dataset``,
+    ``list_datasets``, ``checkpoint``, ``recovery_info``,
+    ``traced_statement`` — so the same workload runs against both;
+    ``io_stats``/``io_snapshot`` accumulate the per-request I/O the shards
+    report in their done frames.
     """
 
     def __init__(
@@ -205,6 +268,8 @@ class ShardedDatastore:
             (host, int(port)) for host, port in addresses
         ]
         self.num_shards = len(self.addresses)
+        #: Reported on every statement ``done`` frame (see Datastore.topology).
+        self.topology = {"shards": self.num_shards}
         self._pool_capacity = pool_capacity
         self._timeout = timeout
         self._pools = [
@@ -217,8 +282,6 @@ class ShardedDatastore:
         )
         self._io = IOStats()
         self._pk_fields: Dict[str, str] = {}
-        #: Stats of the most recent :meth:`query` (None before the first).
-        self.last_query_stats: Optional[ShardQueryStats] = None
         #: Coordinator-side metrics: per-shard request/row-transfer counters
         #: (plus wire counters when this registry backs a WireServer).
         self.metrics = MetricsRegistry(enabled=observability)
@@ -226,7 +289,10 @@ class ShardedDatastore:
         self._m_shard_rows = self.metrics.counter(
             "repro_shard_rows_transferred_total"
         )
-        #: Stitched span tree of the most recent traced :meth:`query`.
+        #: Stitched span tree of the most recent traced statement *on this
+        #: store* — shared by every connection, so a debugging surface only:
+        #: whoever answers a request uses the trace ``traced_statement``
+        #: yielded to it.
         self.last_trace: Optional[QueryTrace] = None
 
     # -- plumbing ----------------------------------------------------------------------
@@ -269,7 +335,8 @@ class ShardedDatastore:
     # -- observability -----------------------------------------------------------------
     @contextmanager
     def traced_statement(self, text: str, executor: Optional[str] = None,
-                         query_id: Optional[str] = None):
+                         query_id: Optional[str] = None,
+                         started: Optional[float] = None):
         """Trace one coordinator statement (the distributed counterpart of
         :meth:`repro.store.datastore.Datastore.traced_statement`).
 
@@ -288,7 +355,7 @@ class ShardedDatastore:
             return
         trace = QueryTrace(query_id=query_id, text=text)
         try:
-            with activate(trace):
+            with activate(trace, started):
                 yield trace
         finally:
             trace.root.attrs.setdefault("executor", executor)
@@ -327,90 +394,80 @@ class ShardedDatastore:
         batch_size: Optional[int] = None,
         query_id: Optional[str] = None,
     ) -> list:
-        """Run one SQL++ SELECT as scatter-gather with partial-agg pushdown.
-
-        When observability is on the whole statement is traced: the shards'
-        span trees (returned inside their done frames) are stitched under the
-        coordinator's ``scatter`` span, and the merge fragment's breakers are
-        recorded under ``merge`` — one tree for the distributed query,
-        published as ``self.last_trace``.
-        """
+        """Run one SQL++ SELECT: compile here, then :meth:`run` it traced."""
         from ..sqlpp import compile_query
 
-        with self.traced_statement(
-            text, executor=executor, query_id=query_id
-        ) as trace:
-            compiled = compile_query(text)
-            if compiled.query is None:
-                # FROM-less: evaluated locally, no shard touches a dataset.
-                rows = compiled.execute(None, executor=executor)
-                self.last_query_stats = ShardQueryStats(
-                    kind="local",
-                    shards=0,
-                    rows_transferred=0,
-                    rows_returned=len(rows),
-                    pages_read=0,
-                )
-                return rows
-            with span("optimize", distributed=True):
-                split = split_query(
-                    compiled.query, pk_fields=self._split_pk_fields(compiled)
-                )
-            if split.kind == "fetch":
-                return self._fetch_and_execute(
-                    compiled, split, executor, pushdown, batch_size
-                )
-            payload = {
-                "op": "statement",
-                "text": text,
-                "mode": "partial",
-                "executor": executor,
-                "pushdown": pushdown,
-            }
-            if trace is not None:
-                payload["query_id"] = trace.query_id
-            if batch_size is not None:
-                payload["batch_size"] = batch_size
-            with span("scatter", shards=self.num_shards) as scatter_span:
-                results = self._scatter(payload)
-                for shard, result in enumerate(results):
-                    self._stitch_shard_trace(scatter_span, shard, result.done)
-            shard_rows = [result.rows for result in results]
-            pages = sum(
-                int(result.io.get("pages_read", 0))
-                + int(result.io.get("cache_hits", 0))
-                for result in results
+        with self.traced_statement(text, executor=executor, query_id=query_id):
+            return self.run(
+                compile_query(text),
+                executor=executor,
+                pushdown=pushdown,
+                batch_size=batch_size,
             )
-            transferred = sum(len(rows) for rows in shard_rows)
-            with span("merge", kind=split.kind):
-                merged = merge_rows(split, shard_rows)
-                rows = run_breakers(iter(merged), split.post_breakers)
-                if compiled.select_value:
-                    rows = [row[compiled.value_column] for row in rows]
-                annotate(rows_in=transferred, rows_out=len(rows))
-            self.last_query_stats = ShardQueryStats(
-                kind=split.kind,
-                shards=self.num_shards,
-                rows_transferred=transferred,
-                rows_returned=len(rows),
-                pages_read=pages,
+
+    @staticmethod
+    def _refuse_fragment(partial: bool) -> None:
+        if partial:
+            raise WireError(
+                "partial mode is shard-side only; the coordinator runs the merge"
             )
-            return rows
 
-    def _split_pk_fields(self, compiled) -> Dict[str, str]:
-        """Primary keys of every dataset the query references.
+    def run(
+        self,
+        compiled,
+        executor: Optional[str] = None,
+        pushdown: bool = True,
+        batch_size: Optional[int] = None,
+        partial: bool = False,
+    ) -> list:
+        """Execute a compiled SELECT as scatter-gather with partial-agg pushdown.
 
-        Shards derive the split with their complete dataset registry; the
-        coordinator resolves the same map here (refreshing its cache over the
-        wire when needed) so both sides place co-hashed joins identically.
+        Called inside :meth:`traced_statement` (by :meth:`query` or the wire
+        session) the whole statement becomes one tree: the shards' span trees
+        (returned inside their done frames) are stitched under ``scatter``
+        (attr ``shards``), and the merge fragment's breakers are recorded
+        under ``merge`` with the split ``kind``, ``rows_in`` — the rows that
+        crossed the wire — and ``rows_out``.
         """
-        pk_fields: Dict[str, str] = {}
-        for dataset in referenced_datasets(compiled.query):
-            try:
-                pk_fields[dataset] = self._primary_key(dataset)
-            except DatasetError:
-                pass  # the query itself will fail with the real error
-        return pk_fields
+        self._refuse_fragment(partial)
+        if compiled.query is None:
+            # FROM-less: evaluated locally, no shard touches a dataset.
+            with span("merge", kind="local", rows_in=0):
+                rows = compiled.execute(None, executor=executor)
+                annotate(rows_out=len(rows))
+            return rows
+        with span("optimize", distributed=True):
+            _, split = compile_split(compiled, self._primary_key)
+        if split.kind == "fetch":
+            return self._fetch_and_execute(
+                compiled, split, executor, pushdown, batch_size
+            )
+        payload = {
+            "op": "statement",
+            "text": compiled.text,
+            "mode": "partial",
+            "executor": executor,
+            "pushdown": pushdown,
+        }
+        trace = current_trace()
+        if trace is not None:
+            payload["query_id"] = trace.query_id
+        if batch_size is not None:
+            payload["batch_size"] = batch_size
+        with span("scatter", shards=self.num_shards) as scatter_span:
+            results = self._scatter(payload)
+            for shard, result in enumerate(results):
+                self._stitch_shard_trace(scatter_span, shard, result.done)
+        shard_rows = [result.rows for result in results]
+        with span(
+            "merge", kind=split.kind, rows_in=sum(len(rows) for rows in shard_rows)
+        ):
+            merged = merge_rows(split, shard_rows)
+            rows = run_breakers(iter(merged), split.post_breakers)
+            if compiled.select_value:
+                rows = [row[compiled.value_column] for row in rows]
+            annotate(rows_out=len(rows))
+        return rows
 
     def _fetch_and_execute(
         self, compiled, split: SplitPlan, executor, pushdown, batch_size
@@ -419,114 +476,107 @@ class ShardedDatastore:
 
         Every referenced dataset is pulled whole from all shards into a
         temporary local datastore, then the unmodified compiled query runs
-        there — correctness first; ``rows_transferred`` exposes the cost.
+        there — correctness first; ``merge``'s ``rows_in`` exposes the cost.
         """
         from ..store.datastore import Datastore
 
         transferred = 0
-        pages = 0
         temp = Datastore()
         try:
-            for dataset in split.fetch_datasets:
-                temp.create_dataset(
-                    dataset, primary_key_field=self._primary_key(dataset)
+            with span("scatter", shards=self.num_shards):
+                for dataset in split.fetch_datasets:
+                    temp.create_dataset(
+                        dataset, primary_key_field=self._primary_key(dataset)
+                    )
+                    results = self._scatter(
+                        {
+                            "op": "statement",
+                            "text": (
+                                f"SELECT VALUE {_FETCH_ALIAS} "
+                                f"FROM {dataset} AS {_FETCH_ALIAS};"
+                            ),
+                            "executor": executor,
+                        }
+                    )
+                    documents = [row for result in results for row in result.rows]
+                    transferred += len(documents)
+                    if documents:
+                        temp.dataset(dataset).insert_many(documents)
+            with span("merge", kind="fetch", rows_in=transferred):
+                rows = temp.run(
+                    compiled,
+                    executor=executor,
+                    pushdown=pushdown,
+                    batch_size=batch_size,
                 )
-                results = self._scatter(
-                    {
-                        "op": "statement",
-                        "text": (
-                            f"SELECT VALUE {_FETCH_ALIAS} "
-                            f"FROM {dataset} AS {_FETCH_ALIAS};"
-                        ),
-                        "executor": executor,
-                    }
-                )
-                documents = [row for result in results for row in result.rows]
-                pages += sum(
-                    int(result.io.get("pages_read", 0))
-                    + int(result.io.get("cache_hits", 0))
-                    for result in results
-                )
-                transferred += len(documents)
-                if documents:
-                    temp.dataset(dataset).insert_many(documents)
-            rows = compiled.execute(
-                temp,
-                executor=executor,
-                pushdown=pushdown,
-                batch_size=batch_size,
-            )
+                annotate(rows_out=len(rows))
         finally:
             temp.close()
-        self.last_query_stats = ShardQueryStats(
-            kind="fetch",
-            shards=self.num_shards,
-            rows_transferred=transferred,
-            rows_returned=len(rows),
-            pages_read=pages,
-        )
         return rows
 
     def explain(
-        self, text: str, executor: Optional[str] = None, analyze: bool = False
+        self,
+        text,
+        executor: Optional[str] = None,
+        analyze: bool = False,
+        partial: bool = False,
     ) -> str:
-        """Render the distributed plan: merge fragment + one shard's fragment."""
-        from ..sqlpp import compile_query
+        """Render the distributed plan: merge fragment + one shard's fragment.
 
-        compiled = compile_query(text)
-        if compiled.query is None:
+        ``text`` is SQL++ text or its compiled form.
+        """
+        self._refuse_fragment(partial)
+        compiled, split = compile_split(text, self._primary_key)
+        if split is None:
             return compiled.explain(None)
-        split = split_query(compiled.query, pk_fields=self._split_pk_fields(compiled))
-        if split.kind == "fetch":
-            lines = [
-                f"DISTRIBUTED SCATTER-GATHER over {self.num_shards} shards "
-                f"(kind=fetch)",
-                "MERGE FRAGMENT (coordinator):",
-            ]
-            lines.extend("  " + line for line in split.describe().splitlines())
-            lines.append("COORDINATOR PLAN (over the fetched datasets):")
-            lines.extend("  " + line for line in compiled.explain(None).splitlines())
-            return "\n".join(lines)
-        # With observability on, ANALYZE runs the real scatter-gather below
-        # and renders the stitched trace — the shard fragment is then shown
-        # without its own per-shard analyze run.
-        stitch = analyze and self.metrics.enabled
-        shard_plan = self._request(
-            0,
-            {
-                "op": "explain",
-                "text": text,
-                "mode": "partial",
-                "executor": executor,
-                "analyze": analyze and not stitch,
-            },
-        ).done["text"]
         lines = [
             f"DISTRIBUTED SCATTER-GATHER over {self.num_shards} shards "
             f"(kind={split.kind})",
             "MERGE FRAGMENT (coordinator):",
         ]
         lines.extend("  " + line for line in split.describe().splitlines())
+        if split.kind == "fetch":
+            lines.append("COORDINATOR PLAN (over the fetched datasets):")
+            lines.extend("  " + line for line in compiled.explain(None).splitlines())
+            return "\n".join(lines)
+        # With observability on, ANALYZE runs the real scatter-gather below
+        # and renders its stitched trace — the shard fragment is then shown
+        # without its own per-shard analyze run.
+        stitch = analyze and self.metrics.enabled
+        shard_plan = self._request(
+            0,
+            {
+                "op": "explain",
+                "text": compiled.text,
+                "mode": "partial",
+                "executor": executor,
+                "analyze": analyze and not stitch,
+            },
+        ).done["text"]
         lines.append("SHARD FRAGMENT (every shard; shard 0 shown):")
         lines.extend("  " + line for line in shard_plan.splitlines())
         if stitch:
-            self.query(text, executor=executor)
-            if self.last_trace is not None:
-                lines.append("")
-                lines.append("ANALYZE TRACE:")
-                lines.extend(render_trace(self.last_trace).splitlines())
+            with self.traced_statement(compiled.text, executor=executor) as trace:
+                self.run(compiled, executor=executor)
+            lines.extend(["", "ANALYZE TRACE:", *render_trace(trace).splitlines()])
         return "\n".join(lines)
 
-    def split_for(self, text: str) -> Optional[SplitPlan]:
+    def split_for(self, text) -> Optional[SplitPlan]:
         """The split this coordinator would use for ``text`` (None = FROM-less)."""
-        from ..sqlpp import compile_query
+        return compile_split(text, self._primary_key)[1]
 
-        compiled = compile_query(text)
-        if compiled.query is None:
-            return None
-        return split_query(compiled.query, pk_fields=self._split_pk_fields(compiled))
+    # -- transactions ------------------------------------------------------------------
+    def begin(self):
+        """Refused: a transaction lives on one engine's commit table, and
+        nothing yet routes a session's BEGIN…COMMIT to the one shard that
+        would own it.  (The wire session adds the statement position.)"""
+        raise TransactionError(
+            "transactions are not supported through the shard coordinator "
+            "(writes auto-commit per shard; connect to the owning shard "
+            "for multi-statement transactions)"
+        )
 
-    # -- DDL / DML ---------------------------------------------------------------------
+    # -- DDL / routing -----------------------------------------------------------------
     def create_dataset(
         self,
         name: str,
@@ -553,69 +603,13 @@ class ShardedDatastore:
                 return row.get("primary_key", "id")
         raise DatasetError(f"unknown dataset {dataset!r}")
 
-    def shard_for(self, dataset: str, key) -> int:
-        """Which shard owns this primary key."""
-        del dataset  # routing depends only on the key today
-        return shard_for_key(key, self.num_shards)
+    def dataset(self, name: str) -> RoutedDataset:
+        """The routing view of one dataset (keyed operations live there).
 
-    def insert(self, dataset: str, document: dict) -> Optional[int]:
-        """Insert one document on its owning shard; returns that shard's
-        commit sequence (sequences are per-shard, like per-process)."""
-        pk = self._primary_key(dataset)
-        try:
-            key = document[pk]
-        except (TypeError, KeyError):
-            raise DatasetError(
-                f"document is missing the primary key field {pk!r}"
-            ) from None
-        shard = shard_for_key(key, self.num_shards)
-        result = self._request(
-            shard, {"op": "insert", "dataset": dataset, "documents": [document]}
-        )
-        return result.done.get("sequence")
-
-    def insert_many(self, dataset: str, documents: Sequence[dict]) -> int:
-        """Bulk insert: group by owning shard, load all shards concurrently."""
-        pk = self._primary_key(dataset)
-        by_shard: Dict[int, List[dict]] = {}
-        for document in documents:
-            try:
-                key = document[pk]
-            except (TypeError, KeyError):
-                raise DatasetError(
-                    f"document is missing the primary key field {pk!r}"
-                ) from None
-            by_shard.setdefault(shard_for_key(key, self.num_shards), []).append(
-                document
-            )
-        futures = []
-        for shard, docs in by_shard.items():
-            for start in range(0, len(docs), INSERT_CHUNK):
-                chunk = docs[start : start + INSERT_CHUNK]
-                futures.append(
-                    self._gather.submit(
-                        self._request,
-                        shard,
-                        {"op": "insert", "dataset": dataset, "documents": chunk},
-                    )
-                )
-        return sum(future.result().done["count"] for future in futures)
-
-    def delete(self, dataset: str, key) -> Optional[int]:
-        shard = shard_for_key(key, self.num_shards)
-        result = self._request(shard, {"op": "delete", "dataset": dataset, "key": key})
-        return result.done.get("sequence")
-
-    def point_lookup(self, dataset: str, key, fields: Optional[List[str]] = None):
-        shard = shard_for_key(key, self.num_shards)
-        result = self._request(
-            shard, {"op": "lookup", "dataset": dataset, "key": key, "fields": fields}
-        )
-        return result.done.get("document")
-
-    def count(self, dataset: str) -> int:
-        results = self._scatter({"op": "count", "dataset": dataset})
-        return sum(result.done["count"] for result in results)
+        Nothing is checked here: an unknown name fails at the shard — or at
+        the first use of its primary key — with the engine's own error.
+        """
+        return RoutedDataset(self, name)
 
     def list_datasets(self) -> List[dict]:
         """Union of every shard's datasets, record counts summed across shards."""
@@ -636,7 +630,7 @@ class ShardedDatastore:
     def checkpoint(self) -> None:
         self._scatter({"op": "checkpoint"})
 
-    def recovery_info(self, shard: int) -> Optional[dict]:
+    def recovery_info(self, shard: int = 0) -> Optional[dict]:
         return self._request(shard, {"op": "recovery_info"}).done.get("recovery")
 
     def ping(self) -> None:
@@ -677,206 +671,6 @@ class ShardedDatastore:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-class CoordinatorSessionHandler:
-    """Wire-server request handler backed by a :class:`ShardedDatastore`.
-
-    Speaks the same ops as :class:`~repro.net.server.EngineSessionHandler`,
-    so ``repro.shell --connect`` works identically against a coordinator.
-    Multi-statement transactions are single-shard by design — BEGIN over the
-    coordinator is rejected with a pointer to connect to the owning shard.
-    """
-
-    def __init__(self, sharded: ShardedDatastore) -> None:
-        self.sharded = sharded
-        #: The in-flight request's query identifier (see EngineSessionHandler).
-        self.current_query_id: Optional[str] = None
-
-    def handle(self, request: dict) -> Tuple[Optional[list], dict]:
-        op = request.get("op", "statement")
-        self.current_query_id = request.get("query_id") or new_query_id()
-        handler = getattr(self, f"_op_{op}", None)
-        if handler is None:
-            raise WireError(f"unknown request op {op!r}")
-        rows, done = handler(request)
-        done.setdefault("query_id", self.current_query_id)
-        return rows, done
-
-    def close(self) -> Optional[str]:
-        return None  # no per-session transaction state on the coordinator
-
-    # -- ops ---------------------------------------------------------------------------
-    def _op_statement(self, request: dict) -> Tuple[Optional[list], dict]:
-        from ..model.errors import SqlppError
-        from ..sqlpp import (
-            BeginStatement,
-            CommitStatement,
-            DeleteStatement,
-            InsertStatement,
-            RollbackStatement,
-            constant_value,
-            parse_any,
-        )
-
-        if request.get("mode", "full") == "partial":
-            raise WireError(
-                "partial mode is shard-side only; the coordinator runs the merge"
-            )
-        text = request["text"]
-        executor = request.get("executor")
-        statement = parse_any(text)
-        before = self.sharded.io_snapshot()
-        rows = status = sequence = explain_text = scatter = None
-        if isinstance(statement, (BeginStatement, CommitStatement, RollbackStatement)):
-            raise SqlppError(
-                "transactions are not supported through the shard coordinator "
-                "(writes auto-commit per shard; connect to the owning shard "
-                f"for multi-statement transactions) at {statement.where}",
-                statement.line,
-                statement.column,
-            )
-        if isinstance(statement, InsertStatement):
-            value = constant_value(statement.documents)
-            documents = value if isinstance(value, list) else [value]
-            if not documents or not all(
-                isinstance(document, dict) for document in documents
-            ):
-                raise SqlppError(
-                    "INSERT expects an object literal or a non-empty array of "
-                    f"objects at {statement.documents.where}",
-                    statement.documents.line,
-                    statement.documents.column,
-                )
-            if len(documents) == 1:
-                sequence = self.sharded.insert(statement.dataset, documents[0])
-                status = "INSERT 1"
-            else:
-                inserted = self.sharded.insert_many(statement.dataset, documents)
-                status = f"INSERT {inserted}"
-        elif isinstance(statement, DeleteStatement):
-            pk = self.sharded._primary_key(statement.dataset)
-            if statement.key_field != pk:
-                raise SqlppError(
-                    f"DELETE key field `{statement.key_field}` is not the "
-                    f"primary key `{pk}` of dataset "
-                    f"{statement.dataset!r} at {statement.where}",
-                    statement.line,
-                    statement.column,
-                )
-            sequence = self.sharded.delete(
-                statement.dataset, constant_value(statement.key)
-            )
-            status = "DELETE 1"
-        trace_dict = None
-        if not isinstance(statement, (InsertStatement, DeleteStatement)):
-            rows = self.sharded.query(
-                text,
-                executor=executor,
-                pushdown=request.get("pushdown", True),
-                batch_size=request.get("batch_size"),
-                query_id=self.current_query_id,
-            )
-            if request.get("explain"):
-                explain_text = self.sharded.explain(text, executor=executor)
-            stats = self.sharded.last_query_stats
-            if stats is not None:
-                scatter = {
-                    "kind": stats.kind,
-                    "shards": stats.shards,
-                    "rows_transferred": stats.rows_transferred,
-                }
-            if request.get("trace") and self.sharded.last_trace is not None:
-                trace_dict = self.sharded.last_trace.to_dict()
-        delta = self.sharded.io_stats.delta_since(before)
-        done = {"type": "done", "io": delta.as_dict(), "shards": self.sharded.num_shards}
-        if trace_dict is not None:
-            done["trace"] = trace_dict
-        if rows is not None:
-            done["result"] = "rows"
-            done["rows_returned"] = len(rows)
-        else:
-            done["result"] = "status"
-            done["status"] = status
-        if sequence is not None:
-            done["sequence"] = sequence
-        if explain_text is not None:
-            done["explain"] = explain_text
-        if scatter is not None:
-            done["scatter"] = scatter
-        return rows, done
-
-    def _op_explain(self, request: dict) -> Tuple[Optional[list], dict]:
-        text = self.sharded.explain(
-            request["text"],
-            executor=request.get("executor"),
-            analyze=request.get("analyze", False),
-        )
-        return None, {"type": "done", "text": text}
-
-    def _op_create_dataset(self, request: dict) -> Tuple[Optional[list], dict]:
-        self.sharded.create_dataset(
-            request["name"],
-            layout=request.get("layout", "amax"),
-            primary_key_field=request.get("primary_key_field"),
-        )
-        return None, {"type": "done"}
-
-    def _op_insert(self, request: dict) -> Tuple[Optional[list], dict]:
-        documents = request["documents"]
-        before = self.sharded.io_snapshot()
-        if len(documents) == 1:
-            sequence = self.sharded.insert(request["dataset"], documents[0])
-            count = 1
-        else:
-            sequence = None
-            count = self.sharded.insert_many(request["dataset"], documents)
-        delta = self.sharded.io_stats.delta_since(before)
-        return None, {
-            "type": "done",
-            "count": count,
-            "sequence": sequence,
-            "io": delta.as_dict(),
-        }
-
-    def _op_delete(self, request: dict) -> Tuple[Optional[list], dict]:
-        sequence = self.sharded.delete(request["dataset"], request["key"])
-        return None, {"type": "done", "sequence": sequence}
-
-    def _op_lookup(self, request: dict) -> Tuple[Optional[list], dict]:
-        before = self.sharded.io_snapshot()
-        document = self.sharded.point_lookup(
-            request["dataset"], request["key"], request.get("fields")
-        )
-        delta = self.sharded.io_stats.delta_since(before)
-        return None, {
-            "type": "done",
-            "found": document is not None,
-            "document": document,
-            "io": delta.as_dict(),
-        }
-
-    def _op_count(self, request: dict) -> Tuple[Optional[list], dict]:
-        return None, {"type": "done", "count": self.sharded.count(request["dataset"])}
-
-    def _op_list_datasets(self, request: dict) -> Tuple[Optional[list], dict]:
-        rows = self.sharded.list_datasets()
-        return rows, {"type": "done", "result": "rows", "rows_returned": len(rows)}
-
-    def _op_checkpoint(self, request: dict) -> Tuple[Optional[list], dict]:
-        self.sharded.checkpoint()
-        return None, {"type": "done"}
-
-    def _op_recovery_info(self, request: dict) -> Tuple[Optional[list], dict]:
-        shard = request.get("shard", 0)
-        return None, {
-            "type": "done",
-            "recovery": self.sharded.recovery_info(shard),
-        }
-
-    def _op_metrics(self, request: dict) -> Tuple[Optional[list], dict]:
-        """Coordinator-side metrics (per-shard routing/transfer + wire)."""
-        return None, {"type": "done", "text": self.sharded.metrics_text()}
 
 
 class ShardCluster:

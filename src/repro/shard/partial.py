@@ -51,6 +51,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..model.errors import DatasetError
 from ..query.executor import GroupTable
 from ..query.expressions import Field, Subquery, Var
 from ..query.plan import (
@@ -335,6 +336,30 @@ def split_query(
         aggregates=merges,
         post_breakers=suffix,
     )
+
+
+def compile_split(statement, primary_key_of) -> Tuple[object, Optional[SplitPlan]]:
+    """``(compiled, split)`` of one statement: the one derivation coordinator
+    and shards share, so both sides of a scatter-gather place it identically.
+
+    ``statement`` is SQL++ text or an already compiled query (compiled at most
+    once either way); ``primary_key_of(dataset)`` names a dataset's primary
+    key and raises :class:`DatasetError` for one it does not know — left out
+    of the map, the query itself then fails with the real error.  The split
+    is None for FROM-less statements, which touch no dataset.
+    """
+    from ..sqlpp import compile_query
+
+    compiled = compile_query(statement)
+    if compiled.query is None:
+        return compiled, None
+    pk_fields: Dict[str, str] = {}
+    for dataset in referenced_datasets(compiled.query):
+        try:
+            pk_fields[dataset] = primary_key_of(dataset)
+        except DatasetError:
+            pass
+    return compiled, split_query(compiled.query, pk_fields=pk_fields)
 
 
 # ======================================================================================

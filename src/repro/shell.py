@@ -195,22 +195,13 @@ class Shell:
                 "atomic transaction (ROLLBACK discards; quitting rolls back)."
             )
         elif command == "\\d":
-            if self.client is not None:
-                listed = self.client.list_datasets()
-                if not listed:
-                    self.print("(no datasets)")
-                for row in listed:
-                    self.print(
-                        f"{row['name']}  layout={row['layout']}  "
-                        f"records={row['records']}"
-                    )
-            else:
-                if not self.store.datasets:
-                    self.print("(no datasets)")
-                for name, dataset in sorted(self.store.datasets.items()):
-                    self.print(
-                        f"{name}  layout={dataset.layout}  records={dataset.count()}"
-                    )
+            listed = (self.client or self.store).list_datasets()
+            if not listed:
+                self.print("(no datasets)")
+            for row in listed:
+                self.print(
+                    f"{row['name']}  layout={row['layout']}  records={row['records']}"
+                )
         elif command == "\\create":
             parts = line.split()
             if len(parts) not in (2, 3):
@@ -294,7 +285,7 @@ class Shell:
             text, executor=self.executor, explain=self.show_explain
         )
         if outcome.trace is not None:
-            self.last_trace = outcome.trace
+            self.last_trace = outcome.trace.to_dict()
         if outcome.explain_text is not None:
             self.print(outcome.explain_text)
         if outcome.rows is not None:

@@ -12,9 +12,7 @@ not match the grouped row shape exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import List, Optional, Tuple
-
-from typing import Set
+from typing import List, Optional, Set, Tuple, Union
 
 from ..model.errors import QueryError, SqlppError
 from ..query.executor import resolve_executor
@@ -107,8 +105,11 @@ class CompiledQuery:
         return self.query.build_plan(pushdown=pushdown)
 
 
-def compile_query(text: str) -> CompiledQuery:
+def compile_query(text: Union[str, CompiledQuery]) -> CompiledQuery:
     """Parse, bind, and lower one SQL++ statement.
+
+    An already compiled query passes through unchanged, so a caller handed
+    either form never parses a statement twice.
 
     Raises:
         SqlppError: On any syntax or binding offence, with source positions.
@@ -124,6 +125,8 @@ def compile_query(text: str) -> CompiledQuery:
     """
     from ..obs import span
 
+    if isinstance(text, CompiledQuery):
+        return text
     with span("parse"):
         statement = parse(text)
     with span("bind"):

@@ -21,12 +21,12 @@ import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, Optional
+from dataclasses import asdict, dataclass, replace
+from typing import Dict, Iterator, List, Optional
 
 from ..lsm.scheduler import BackgroundScheduler
 from ..lsm.wal import AUTO_COMMIT, CommitRecord, LogManager
-from ..model.errors import DatasetError
+from ..model.errors import DatasetError, QueryError
 from ..obs import (
     MetricsRegistry,
     QueryTrace,
@@ -68,6 +68,10 @@ class RecoveryInfo:
 
 class Datastore:
     """A single-process document store with pluggable component layouts."""
+
+    #: What statement ``done`` frames report about the store's shape: nothing
+    #: for one engine; a shard coordinator reports ``{"shards": N}``.
+    topology: Dict[str, int] = {}
 
     def __init__(self, config: Optional[StoreConfig] = None) -> None:
         config = config or StoreConfig()
@@ -271,6 +275,15 @@ class Datastore:
         self._persist_root_manifest()
         self.log_manager.truncate()
 
+    def recovery_info(self, shard: int = 0) -> Optional[dict]:
+        """:attr:`last_recovery` as a plain dict (None for a fresh store).
+
+        ``shard`` is what a shard coordinator selects by; a single store is
+        its own only shard and ignores it.
+        """
+        del shard
+        return None if self.last_recovery is None else asdict(self.last_recovery)
+
     def drain_background(self) -> None:
         """Wait for every queued/running background flush and merge."""
         if self.scheduler is not None:
@@ -369,6 +382,18 @@ class Datastore:
         except KeyError as exc:
             raise DatasetError(f"unknown dataset {name!r}") from exc
 
+    def list_datasets(self) -> List[dict]:
+        """One row per dataset, by name: layout, record count, primary key."""
+        return [
+            {
+                "name": name,
+                "layout": dataset.layout,
+                "records": dataset.count(),
+                "primary_key": dataset.primary_key_field,
+            }
+            for name, dataset in sorted(self.datasets.items())
+        ]
+
     def drop_dataset(self, name: str) -> None:
         dataset = self.datasets.pop(name, None)
         if dataset is None:
@@ -397,6 +422,7 @@ class Datastore:
         text: str,
         executor: Optional[str] = None,
         query_id: Optional[str] = None,
+        started: Optional[float] = None,
     ) -> Iterator[Optional[QueryTrace]]:
         """Trace one statement: activates a fresh :class:`QueryTrace` on the
         calling thread, then records latency/IO metrics, the slow-query log,
@@ -405,7 +431,9 @@ class Datastore:
         Yields None (and does nothing) when observability is off; re-yields
         the already-active trace when called reentrantly, so nested execution
         layers never double-count a statement.  An unknown ``executor`` is
-        rejected here, before the statement starts.
+        rejected here, before the statement starts.  ``started`` backdates
+        the statement to a ``perf_counter`` reading — the wire session parses
+        before it knows the statement is one to trace.
         """
         from ..query.executor import resolve_executor
 
@@ -425,7 +453,7 @@ class Datastore:
             "repro_io_pages_total", op="write", source="query"
         )
         try:
-            with activate(trace):
+            with activate(trace, started):
                 yield trace
         finally:
             duration = trace.root.duration_s
@@ -504,52 +532,101 @@ class Datastore:
         from ..sqlpp import compile_query
 
         with self.traced_statement(text, executor=executor):
-            return compile_query(text).execute(
-                self,
+            return self.run(
+                compile_query(text),
                 executor=executor,
                 pushdown=pushdown,
                 optimize=optimize,
                 batch_size=batch_size,
             )
 
+    def run(
+        self,
+        compiled,
+        executor: Optional[str] = None,
+        pushdown: bool = True,
+        optimize: Optional[bool] = None,
+        batch_size: Optional[int] = None,
+        partial: bool = False,
+    ) -> list:
+        """Execute a compiled SELECT (:func:`repro.sqlpp.compile_query`) here.
+
+        This is the store's half of a statement: :meth:`query` and the
+        statement session (:mod:`repro.net.session`) parse and bind, then
+        hand the compiled query to whichever store they sit on.  With
+        ``partial`` only this store's fragment of the scatter-gather split
+        runs, and its rows are the partials the coordinator merges.
+        """
+        if partial:
+            compiled = self._fragment(compiled)
+            if compiled is None:
+                raise QueryError(
+                    "joins and subqueries run at the coordinator over fetched "
+                    "datasets; this shard cannot execute a partial fragment"
+                )
+        return compiled.execute(
+            self,
+            executor=executor,
+            pushdown=pushdown,
+            optimize=optimize,
+            batch_size=batch_size,
+        )
+
+    def _fragment(self, statement):
+        """What a shard runs of ``statement``: the local query of its split
+        (the statement itself when FROM-less — answering those here keeps the
+        op total; None for a fetch split, which has no shard fragment).
+
+        Coordinator and shard derive the same split from the same text
+        (:func:`repro.shard.partial.compile_split`), so no plan crosses the
+        wire — only SQL++ text and partial rows.
+        """
+        from ..shard.partial import compile_split
+
+        compiled, split = compile_split(
+            statement, lambda name: self.dataset(name).primary_key_field
+        )
+        return compiled if split is None else split.local_query
+
     def explain(
         self,
-        text: str,
+        text,
         pushdown: bool = True,
         analyze: bool = False,
         executor: Optional[str] = None,
+        partial: bool = False,
     ) -> str:
         """Explain a SQL++ statement: plan, chosen access path, alternatives.
 
         Args:
-            text: One SQL++ SELECT statement.
+            text: One SQL++ SELECT statement (or its compiled form).
             pushdown: Attach the scan-pushdown spec before explaining.
             analyze: Also execute every candidate access path and report
                 estimated vs. actual row counts.
             executor: Which executor the final EXECUTOR line describes.
+            partial: Render this store's fragment of the scatter-gather
+                split (the coordinator glues on the merge fragment).
 
         Returns:
             A multi-line plan rendering (see :meth:`repro.query.plan.Query.explain`).
         """
         from ..sqlpp import compile_query
 
-        if analyze and self.config.observability:
-            # Render the plan (with candidate-path probing) untraced, then
-            # run the statement through the real executor so the appended
-            # span tree shows one clean execution — every operator exactly
-            # once, with actual row counts.
-            rendering = compile_query(text).explain(
-                self, pushdown=pushdown, analyze=True, executor=executor
-            )
-            self.query(text, executor=executor, pushdown=pushdown)
-            if self.last_trace is not None:
-                rendering += "\n\nANALYZE TRACE:\n" + render_trace(
-                    self.last_trace
-                )
-            return rendering
-        return compile_query(text).explain(
+        # Compiled (and, under ANALYZE, probed) untraced; the statement then
+        # runs once through the real executor inside its own trace, so the
+        # appended span tree shows one clean execution — every operator
+        # exactly once, with actual row counts.
+        compiled = self._fragment(text) if partial else compile_query(text)
+        if compiled is None:
+            return "FETCH (executed at the coordinator; no shard fragment)"
+        rendering = compiled.explain(
             self, pushdown=pushdown, analyze=analyze, executor=executor
         )
+        if analyze and self.config.observability and not partial:
+            with self.traced_statement(compiled.text, executor=executor) as trace:
+                self.run(compiled, executor=executor, pushdown=pushdown)
+            rendering += "\n\nANALYZE TRACE:\n" + render_trace(trace)
+        return rendering
 
     # -- statistics ----------------------------------------------------------------------
     @property

@@ -1,4 +1,5 @@
-"""Shared test plumbing: deterministic-replay RNG seeds.
+"""Shared test plumbing: deterministic-replay RNG seeds, and the in-process
+wire-server harness (:class:`ServerThread`, :class:`ShardRig`).
 
 Every randomized test obtains its :class:`random.Random` (or its base seed)
 through :func:`seeded_rng` / :func:`resolve_seed`.  Two guarantees follow:
@@ -16,8 +17,10 @@ through :func:`seeded_rng` / :func:`resolve_seed`.  Two guarantees follow:
 
 from __future__ import annotations
 
+import asyncio
 import os
 import random
+import threading
 from typing import List
 
 import pytest
@@ -82,3 +85,81 @@ def pytest_runtest_makereport(item, call):
                 f"python -m pytest {item.nodeid!r}",
             )
         )
+
+
+# ======================================================================================
+# In-thread wire servers
+# ======================================================================================
+
+
+class ServerThread:
+    """A wire server over ``store`` (an engine's ``Datastore`` or a
+    coordinator's ``ShardedDatastore``) on a daemon thread, for in-process
+    tests.  ``kwargs`` go to :class:`repro.net.server.WireServer`."""
+
+    def __init__(self, store, **kwargs) -> None:
+        from repro.net.server import SessionHandler, WireServer
+
+        self.server = WireServer(lambda: SessionHandler(store), **kwargs)
+        started = threading.Event()
+
+        def run() -> None:
+            async def main() -> None:
+                await self.server.start()
+                started.set()
+                await self.server.wait_closed()
+
+            asyncio.run(main())
+
+        self.thread = threading.Thread(target=run, daemon=True)
+        self.thread.start()
+        assert started.wait(10), "server did not start"
+
+    @property
+    def address(self):
+        return self.server.bound_host, self.server.bound_port
+
+    def connect(self, **kwargs):
+        from repro.net.client import WireClient
+
+        return WireClient(*self.address, **kwargs)
+
+    def stop(self) -> None:
+        self.server.request_shutdown("test teardown")
+        self.thread.join(20)
+        assert not self.thread.is_alive(), "server did not shut down"
+
+
+class ShardRig:
+    """N in-process engine servers plus a coordinator store over them;
+    :meth:`serve` additionally puts that coordinator behind a wire server."""
+
+    def __init__(self, num_shards: int) -> None:
+        from repro.shard.coordinator import ShardedDatastore
+        from repro.store import Datastore, StoreConfig
+
+        self.stores = [
+            Datastore(StoreConfig(partitions_per_node=1)) for _ in range(num_shards)
+        ]
+        self.servers = [
+            ServerThread(store, metrics=store.metrics) for store in self.stores
+        ]
+        self.sharded = ShardedDatastore([server.address for server in self.servers])
+        self.coordinator = None
+
+    def serve(self) -> ServerThread:
+        """Put :attr:`sharded` behind a coordinator wire server (stopped by close)."""
+        self.coordinator = ServerThread(
+            self.sharded, role="coordinator", metrics=self.sharded.metrics
+        )
+        return self.coordinator
+
+    def close(self) -> None:
+        if self.coordinator is not None and self.coordinator.thread.is_alive():
+            self.coordinator.stop()
+        self.sharded.close()
+        for server in self.servers:
+            if server.thread.is_alive():
+                server.stop()
+        for store in self.stores:
+            store.close()

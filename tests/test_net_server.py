@@ -9,7 +9,6 @@ handlers need the main thread, so tests shut it down via
 
 from __future__ import annotations
 
-import asyncio
 import math
 import threading
 
@@ -26,10 +25,9 @@ from repro.net.protocol import (
     encode_frame,
     frame_length,
 )
-from repro.net.server import EngineSessionHandler, WireServer
 from repro.store import Datastore, StoreConfig
 
-from conftest import RETIRED_EXECUTOR
+from conftest import RETIRED_EXECUTOR, ServerThread
 
 
 # ======================================================================================
@@ -79,38 +77,6 @@ def test_check_hello_version_mismatch():
 # ======================================================================================
 # In-thread server harness
 # ======================================================================================
-
-
-class ServerThread:
-    """A wire server running on a daemon thread, for in-process tests."""
-
-    def __init__(self, store, **kwargs) -> None:
-        self.server = WireServer(lambda: EngineSessionHandler(store), **kwargs)
-        started = threading.Event()
-
-        def run() -> None:
-            async def main() -> None:
-                await self.server.start()
-                started.set()
-                await self.server.wait_closed()
-
-            asyncio.run(main())
-
-        self.thread = threading.Thread(target=run, daemon=True)
-        self.thread.start()
-        assert started.wait(10), "server did not start"
-
-    @property
-    def address(self):
-        return self.server.bound_host, self.server.bound_port
-
-    def connect(self, **kwargs) -> WireClient:
-        return WireClient(*self.address, **kwargs)
-
-    def stop(self) -> None:
-        self.server.request_shutdown("test teardown")
-        self.thread.join(20)
-        assert not self.thread.is_alive(), "server did not shut down"
 
 
 @pytest.fixture()

@@ -20,7 +20,6 @@ property, not a process-isolation one, and this keeps the suite fast.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import threading
@@ -28,8 +27,8 @@ import time
 
 import pytest
 
-from repro.net.client import RemoteError, WireClient
-from repro.net.server import EngineSessionHandler, WireServer
+from repro.net.client import RemoteError
+from repro.net.server import SessionHandler
 from repro.obs import (
     METRIC_CATALOG,
     MetricsError,
@@ -47,8 +46,9 @@ from repro.obs import (
     render_trace_dict,
     span,
 )
-from repro.shard.coordinator import CoordinatorSessionHandler, ShardedDatastore
 from repro.store import Datastore, StoreConfig
+
+from conftest import ServerThread, ShardRig
 
 STRESS_OPS = int(os.environ.get("REPRO_STRESS_OPS", "250"))
 
@@ -522,46 +522,10 @@ def test_config_rejects_bad_slow_query_settings():
 # ======================================================================================
 
 
-class ServerThread:
-    """A wire server on a daemon thread (same harness as test_net_server)."""
-
-    def __init__(self, session_factory, **kwargs) -> None:
-        self.server = WireServer(session_factory, **kwargs)
-        started = threading.Event()
-
-        def run() -> None:
-            async def main() -> None:
-                await self.server.start()
-                started.set()
-                await self.server.wait_closed()
-
-            asyncio.run(main())
-
-        self.thread = threading.Thread(target=run, daemon=True)
-        self.thread.start()
-        assert started.wait(10), "server did not start"
-
-    @property
-    def address(self):
-        return self.server.bound_host, self.server.bound_port
-
-    def connect(self, **kwargs) -> WireClient:
-        return WireClient(*self.address, **kwargs)
-
-    def stop(self) -> None:
-        self.server.request_shutdown("test teardown")
-        self.thread.join(20)
-        assert not self.thread.is_alive(), "server did not shut down"
-
-
 @pytest.fixture()
 def engine_server():
     store = make_store()
-    server = ServerThread(
-        lambda: EngineSessionHandler(store),
-        backend_close=store.close,
-        metrics=store.metrics,
-    )
+    server = ServerThread(store, backend_close=store.close, metrics=store.metrics)
     yield server
     if server.thread.is_alive():
         server.stop()
@@ -624,43 +588,12 @@ def test_metrics_op_returns_prometheus_text_with_wire_counters(engine_server):
 # ======================================================================================
 
 
-class ShardRig:
-    """N in-process engine servers plus a coordinator over them."""
-
-    def __init__(self, num_shards: int) -> None:
-        self.stores = []
-        self.servers = []
-        for _ in range(num_shards):
-            store = Datastore(StoreConfig(partitions_per_node=1))
-            self.stores.append(store)
-            self.servers.append(
-                ServerThread(
-                    lambda store=store: EngineSessionHandler(store),
-                    metrics=store.metrics,
-                )
-            )
-        self.sharded = ShardedDatastore(
-            [server.address for server in self.servers]
-        )
-
-    def load(self) -> None:
-        self.sharded.create_dataset("d", layout="amax", primary_key_field="id")
-        self.sharded.insert_many("d", DOCS)
-
-    def close(self) -> None:
-        self.sharded.close()
-        for server in self.servers:
-            if server.thread.is_alive():
-                server.stop()
-        for store in self.stores:
-            store.close()
-
-
 @pytest.fixture(params=[1, 2, 4], ids=["1shard", "2shards", "4shards"])
 def shard_rig(request):
     rig = ShardRig(request.param)
     try:
-        rig.load()
+        rig.sharded.create_dataset("d", layout="amax", primary_key_field="id")
+        rig.sharded.dataset("d").insert_many(DOCS)
         yield request.param, rig
     finally:
         rig.close()
@@ -726,7 +659,7 @@ def test_coordinator_metrics_count_per_shard_transfers(shard_rig):
 
 def test_coordinator_handler_propagates_query_id_and_trace(shard_rig):
     _, rig = shard_rig
-    handler = CoordinatorSessionHandler(rig.sharded)
+    handler = SessionHandler(rig.sharded)
     rows, done = handler.handle(
         {
             "op": "statement",

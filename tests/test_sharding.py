@@ -341,7 +341,7 @@ def test_merge_rows_refuses_fetch_splits():
 
 def _load(target, dataset_name: str, layout: str, documents) -> None:
     target.create_dataset(dataset_name, layout=layout)
-    target.insert_many(dataset_name, documents)
+    target.dataset(dataset_name).insert_many(documents)
 
 
 @pytest.fixture(scope="module")
@@ -365,11 +365,28 @@ def sharded_env(request, tmp_path_factory):
         with cluster.connect() as sharded:
             for layout in LAYOUTS:
                 sharded.create_dataset(f"cell_{layout}", layout=layout)
-                sharded.insert_many(f"cell_{layout}", CELL_DOCS)
+                sharded.dataset(f"cell_{layout}").insert_many(CELL_DOCS)
             sharded.create_dataset("sensors_amax", layout="amax")
-            sharded.insert_many("sensors_amax", SENSORS_DOCS)
+            sharded.dataset("sensors_amax").insert_many(SENSORS_DOCS)
             sharded.checkpoint()
             yield num_shards, sharded, cluster
+
+
+def _span(sharded, name: str):
+    """The one ``name`` span of the statement this (single-threaded) test ran
+    last — where what a scatter-gather moved is recorded: ``scatter`` carries
+    ``shards``; ``merge`` carries ``kind``, ``rows_in`` (rows that crossed the
+    wire) and ``rows_out``."""
+    found = sharded.last_trace.find(name)
+    assert found in sharded.last_trace.root.children, name
+    return found
+
+
+def _shard_requests(sharded) -> float:
+    return sum(
+        sharded.metrics.get_value("repro_shard_requests_total", shard=str(shard))
+        for shard in range(sharded.num_shards)
+    )
 
 
 def _assert_same_rows(got, want, text: str) -> None:
@@ -390,8 +407,7 @@ def test_cell_queries_match_single_process_across_layouts(
     got = sharded.query(text)
     want = oracle.query(text)
     _assert_same_rows(got, want, text)
-    stats = sharded.last_query_stats
-    assert stats.shards == num_shards
+    assert _span(sharded, "scatter").attrs["shards"] == num_shards
 
 
 @pytest.mark.parametrize("query_name", sorted(SENSORS_QUERIES))
@@ -417,24 +433,27 @@ def test_coordinator_rejects_an_unknown_executor_before_scattering(sharded_env):
     _, sharded, _ = sharded_env
     text = "SELECT COUNT(*) AS n FROM cell_amax AS c;"
     sharded.query(text)
-    stats = sharded.last_query_stats
+    sent = _shard_requests(sharded)
     # A local QueryError, not a shard's RemoteError: nothing was sent.
     with pytest.raises(QueryError, match="one of: interpreted, batch"):
         sharded.query(text, executor=RETIRED_EXECUTOR)
-    assert sharded.last_query_stats is stats
+    assert _shard_requests(sharded) == sent > 0
     assert sharded.query(text) == [{"n": len(CELL_DOCS)}]
 
 
 def test_pushdown_moves_aggregates_not_rows(sharded_env):
     num_shards, sharded, _ = sharded_env
     # COUNT(*): one partial row per shard crosses the wire — never the data.
+    before = sharded.io_snapshot()
     rows = sharded.query("SELECT COUNT(*) AS n FROM cell_amax AS c;")
     assert rows == [{"n": len(CELL_DOCS)}]
-    stats = sharded.last_query_stats
-    assert stats.kind == "aggregate"
-    assert stats.rows_transferred == num_shards
-    # ... and per shard the COUNT(*) shortcut reads zero data pages.
-    assert stats.pages_read == 0
+    merge = _span(sharded, "merge").attrs
+    assert merge["kind"] == "aggregate"
+    assert merge["rows_in"] == num_shards
+    # ... and per shard the COUNT(*) shortcut reads zero data pages (the
+    # shards' done frames feed the coordinator's io_stats).
+    io = sharded.io_stats.delta_since(before)
+    assert io.pages_read + io.cache_hits == 0
     # GROUP BY: per-shard groups cross, bounded by shards × group count —
     # for a low-cardinality key, far fewer rows than the dataset holds.
     groups = len({doc["dropped"] for doc in CELL_DOCS})
@@ -442,18 +461,18 @@ def test_pushdown_moves_aggregates_not_rows(sharded_env):
         "SELECT d AS d, COUNT(*) AS n FROM cell_amax AS c "
         "GROUP BY c.dropped AS d;"
     )
-    stats = sharded.last_query_stats
-    assert stats.kind == "groupby"
-    assert stats.rows_transferred <= num_shards * groups < len(CELL_DOCS)
+    merge = _span(sharded, "merge").attrs
+    assert merge["kind"] == "groupby"
+    assert merge["rows_in"] <= num_shards * groups < len(CELL_DOCS)
 
 
 def test_point_operations_route_to_owning_shard(sharded_env, oracle):
     num_shards, sharded, _ = sharded_env
     for key in (0, 7, 123, 299):
-        assert sharded.point_lookup(f"cell_{LAYOUTS[0]}", key) == oracle.dataset(
+        assert sharded.dataset(f"cell_{LAYOUTS[0]}").point_lookup(key) == oracle.dataset(
             f"cell_{LAYOUTS[0]}"
         ).point_lookup(key)
-    assert sharded.count("cell_amax") == len(CELL_DOCS)
+    assert sharded.dataset("cell_amax").count() == len(CELL_DOCS)
 
 
 def test_count_with_per_shard_antimatter(sharded_env):
@@ -461,11 +480,11 @@ def test_count_with_per_shard_antimatter(sharded_env):
     name = f"anti_{num_shards}"
     docs = [{"id": i, "v": i % 10} for i in range(100)]
     sharded.create_dataset(name, layout="amax")
-    sharded.insert_many(name, docs)
+    sharded.dataset(name).insert_many(docs)
     sharded.checkpoint()  # flush, so deletes become antimatter records
     deleted = list(range(0, 100, 3))
     for key in deleted:
-        sharded.delete(name, key)
+        sharded.dataset(name).delete(key)
     oracle = Datastore(StoreConfig(partitions_per_node=2))
     try:
         dataset = oracle.create_dataset(name, layout="amax")
@@ -478,7 +497,7 @@ def test_count_with_per_shard_antimatter(sharded_env):
             f"SELECT AVG(t.v) AS a, SUM(t.v) AS s FROM {name} AS t;",
         ):
             assert sharded.query(text) == oracle.query(text), text
-        assert sharded.count(name) == 100 - len(deleted)
+        assert sharded.dataset(name).count() == 100 - len(deleted)
     finally:
         oracle.close()
 
@@ -504,10 +523,10 @@ def test_shard_restart_recovers_from_its_own_wal(tmp_path, graceful):
     with ShardCluster(2, tmp_path) as cluster:
         sharded = cluster.connect()
         sharded.create_dataset("t", layout="amax")
-        sharded.insert_many("t", [{"id": i, "v": i} for i in range(120)])
+        sharded.dataset("t").insert_many([{"id": i, "v": i} for i in range(120)])
         sharded.checkpoint()
         # A second wave that is durable only in the WALs (no checkpoint).
-        sharded.insert_many("t", [{"id": i, "v": i} for i in range(120, 160)])
+        sharded.dataset("t").insert_many([{"id": i, "v": i} for i in range(120, 160)])
         if graceful:
             cluster.terminate_shard(1)  # SIGTERM: drain + checkpoint
         else:
@@ -523,11 +542,11 @@ def test_shard_restart_recovers_from_its_own_wal(tmp_path, graceful):
         else:
             # The crash lost nothing: the uncheckpointed wave replays.
             assert recovery["wal_records_replayed"] > 0
-        assert sharded.count("t") == 160
+        assert sharded.dataset("t").count() == 160
         rows = sharded.query("SELECT COUNT(*) AS n FROM t AS t;")
         assert rows == [{"n": 160}]
         for key in (0, 125, 159):
-            assert sharded.point_lookup("t", key) == {"id": key, "v": key}
+            assert sharded.dataset("t").point_lookup(key) == {"id": key, "v": key}
         sharded.close()
 
 
@@ -582,9 +601,9 @@ def join_env(sharded_env):
     num_shards, sharded, _ = sharded_env
     users_name, users, orders_name, orders = _users_orders(num_shards)
     sharded.create_dataset(users_name, layout="amax")
-    sharded.insert_many(users_name, users)
+    sharded.dataset(users_name).insert_many(users)
     sharded.create_dataset(orders_name, layout="vector")
-    sharded.insert_many(orders_name, orders)
+    sharded.dataset(orders_name).insert_many(orders)
     sharded.checkpoint()
     oracle = _oracle_with(
         [(users_name, "amax", users), (orders_name, "vector", orders)]
@@ -609,15 +628,15 @@ def test_join_and_window_stats_report_execution_path(join_env):
         f"SELECT o.id AS id, u.name AS name FROM {orders_name} AS o, "
         f"{users_name} AS u WHERE o.user = u.id ORDER BY id;"
     )
-    stats = sharded.last_query_stats
-    assert stats.kind == "fetch"
+    merge = _span(sharded, "merge").attrs
+    assert merge["kind"] == "fetch"
     # The fetch pulled both whole datasets to the coordinator.
-    assert stats.rows_transferred == 40 + 12
+    assert merge["rows_in"] == 40 + 12
     sharded.query(
         f"SELECT o.id AS id, ROW_NUMBER() OVER (ORDER BY o.id) AS r "
         f"FROM {orders_name} AS o ORDER BY id;"
     )
-    assert sharded.last_query_stats.kind == "raw"
+    assert _span(sharded, "merge").attrs["kind"] == "raw"
 
 
 def test_co_hashed_pk_join_runs_shard_local(join_env):
@@ -627,7 +646,7 @@ def test_co_hashed_pk_join_runs_shard_local(join_env):
     mirror = f"mirror{num_shards}"
     users = [{"id": i, "name": f"u{i:02d}", "tier": i % 3} for i in range(12)]
     sharded.create_dataset(mirror, layout="amax")
-    sharded.insert_many(mirror, users)
+    sharded.dataset(mirror).insert_many(users)
     oracle.create_dataset(mirror, layout="amax").insert_many(users)
     text = (
         f"SELECT a.id AS id, b.tier AS tier FROM {users_name} AS a "
@@ -635,9 +654,9 @@ def test_co_hashed_pk_join_runs_shard_local(join_env):
     )
     got = sharded.query(text)
     assert got == oracle.query(text)
-    stats = sharded.last_query_stats
-    assert stats.kind == "stream"
-    assert stats.rows_transferred == len(users)
+    merge = _span(sharded, "merge").attrs
+    assert merge["kind"] == "stream"
+    assert merge["rows_in"] == len(users)
 
 
 def test_distributed_explain_shows_fetch_plan(join_env):
@@ -667,7 +686,7 @@ def test_order_by_null_and_missing_match_single_process(sharded_env):
             doc["v"] = None
         docs.append(doc)  # i % 3 == 2: v is MISSING entirely
     sharded.create_dataset(name, layout="amax")
-    sharded.insert_many(name, docs)
+    sharded.dataset(name).insert_many(docs)
     oracle = _oracle_with([(name, "amax", docs)])
     try:
         text = f"SELECT t.id AS id, t.v AS v FROM {name} AS t ORDER BY v, id;"
@@ -698,7 +717,7 @@ def test_groupby_mixed_type_keys_match_single_process(sharded_env):
             doc["g"] = keys[i % len(keys)]
         docs.append(doc)
     sharded.create_dataset(name, layout="apax")
-    sharded.insert_many(name, docs)
+    sharded.dataset(name).insert_many(docs)
     sharded.checkpoint()
     oracle = _oracle_with([(name, "apax", docs)])
     try:
@@ -709,7 +728,7 @@ def test_groupby_mixed_type_keys_match_single_process(sharded_env):
         got = sharded.query(text)
         want = oracle.query(text)
         assert sorted(map(repr, got)) == sorted(map(repr, want))
-        assert sharded.last_query_stats.kind == "groupby"
+        assert _span(sharded, "merge").attrs["kind"] == "groupby"
     finally:
         oracle.close()
 
@@ -750,17 +769,17 @@ def fuzz_env(sharded_env):
     deletes = list(range(0, 40, 3))
 
     sharded.create_dataset("d", layout="amax")
-    sharded.insert_many("d", d_first)
+    sharded.dataset("d").insert_many(d_first)
     sharded.checkpoint()
-    sharded.insert_many("d", d_second)
+    sharded.dataset("d").insert_many(d_second)
     sharded.checkpoint()
     sharded.create_dataset("m", layout="vector")
-    sharded.insert_many("m", m_base)
+    sharded.dataset("m").insert_many(m_base)
     sharded.checkpoint()  # flushed, so the deletes below become antimatter
     for key in deletes:
-        sharded.delete("m", key)
-    sharded.insert_many("m", m_updates)
-    sharded.insert_many("m", m_fresh)
+        sharded.dataset("m").delete(key)
+    sharded.dataset("m").insert_many(m_updates)
+    sharded.dataset("m").insert_many(m_fresh)
 
     oracle = Datastore(StoreConfig(partitions_per_node=2))
     d = oracle.create_dataset("d", layout="amax")
