@@ -59,7 +59,7 @@ def test_wal_append_overhead_on_ingest(benchmark, tmp_path):
         memory_seconds = _ingest(memory_store, NUM_RECORDS)
         durable_store = Datastore(_config(tmp_path / "durable"))
         durable_seconds = _ingest(durable_store, NUM_RECORDS)
-        stats = durable_store.io_stats
+        stats = durable_store.io_snapshot()
         durable_store.close()
         return memory_seconds, durable_seconds, stats
 

@@ -111,7 +111,7 @@ def load_dataset(
         seconds=seconds,
         storage_bytes=dataset.storage_size_bytes(),
         storage_payload_bytes=dataset.storage_payload_bytes(),
-        pages_written=store.io_stats.pages_written,
+        pages_written=store.io_snapshot().pages_written,
         inferred_columns=dataset.inferred_column_count(),
         point_lookups=dataset.point_lookups_performed,
     )
@@ -191,7 +191,7 @@ def run_query(
             store, executor=executor, pushdown=pushdown
         )
     seconds = (time.perf_counter() - start) / max(repetitions, 1)
-    delta = store.io_stats.delta_since(before)
+    delta = store.io_snapshot().delta_since(before)
     return QueryResult(
         layout=fixture.layout,
         query=getattr(query_factory, "__name__", "sqlpp"),

@@ -32,6 +32,7 @@ from typing import Callable, Optional, Tuple
 
 from ..model.errors import ReproError
 from ..obs import MetricsRegistry, new_query_id
+from .client import RemoteError
 from .protocol import (
     HEADER,
     ROWS_PER_FRAME,
@@ -103,7 +104,7 @@ class SessionHandler:
             query_id=self.current_query_id,
             partial=partial,
         )
-        delta = self.store.io_stats.delta_since(before)
+        delta = self.store.io_snapshot().delta_since(before)
         done = {"type": "done", "io": delta.as_dict(), **self.store.topology}
         if outcome.trace is not None and (partial or request.get("trace")):
             done["trace"] = outcome.trace.to_dict()
@@ -140,7 +141,7 @@ class SessionHandler:
         dataset = self.store.dataset(request["dataset"])
         before = self.store.io_snapshot()
         count, sequence = insert_documents(dataset, request["documents"])
-        delta = self.store.io_stats.delta_since(before)
+        delta = self.store.io_snapshot().delta_since(before)
         return None, {
             "type": "done",
             "count": count,
@@ -156,7 +157,7 @@ class SessionHandler:
         dataset = self.store.dataset(request["dataset"])
         before = self.store.io_snapshot()
         document = dataset.point_lookup(request["key"], request.get("fields"))
-        delta = self.store.io_stats.delta_since(before)
+        delta = self.store.io_snapshot().delta_since(before)
         return None, {
             "type": "done",
             "found": document is not None,
@@ -435,7 +436,9 @@ class WireServer:
             frame = {
                 "type": "error",
                 "error": str(error),
-                "code": type(error).__name__,
+                # A shard's error is relayed under the shard's code.
+                "code": (error.code if isinstance(error, RemoteError)
+                         else type(error).__name__),
             }
             query_id = getattr(connection.handler, "current_query_id", None)
             if query_id is not None:

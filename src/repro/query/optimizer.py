@@ -116,8 +116,8 @@ class AccessPathCandidate:
     actual_source_rows: Optional[int] = None
     actual_result_rows: Optional[int] = None
     #: Pages touched while running this candidate (device reads + buffer-cache
-    #: hits), aggregated across parallel scan-pool workers — the shared
-    #: ``device.stats`` counters include every worker thread's reads.
+    #: hits), aggregated across parallel scan-pool workers — the store's
+    #: ``io_snapshot()`` counts every worker thread's reads.
     actual_pages_read: Optional[int] = None
 
     def describe(self) -> str:
@@ -542,7 +542,7 @@ def analyze_candidates(store, report: OptimizerReport, executor: str = "interpre
         before = store.io_snapshot()
         rows = list(source_rows(store, candidate.plan))
         survivors = list(run_interpreted_pipeline(rows, candidate.plan.pipeline))
-        delta = store.io_stats.delta_since(before)
+        delta = store.io_snapshot().delta_since(before)
         candidate.actual_source_rows = len(rows)
         candidate.actual_result_rows = len(survivors)
         candidate.actual_pages_read = delta.pages_read + delta.cache_hits

@@ -250,8 +250,8 @@ class ShardedDatastore:
     ``run`` / ``explain``, ``dataset(name)``, ``create_dataset``,
     ``list_datasets``, ``checkpoint``, ``recovery_info``,
     ``traced_statement`` — so the same workload runs against both;
-    ``io_stats``/``io_snapshot`` accumulate the per-request I/O the shards
-    report in their done frames.
+    ``io_snapshot()`` accumulates the per-request I/O the shards report in
+    their done frames.
     """
 
     def __init__(
@@ -296,10 +296,6 @@ class ShardedDatastore:
         self.last_trace: Optional[QueryTrace] = None
 
     # -- plumbing ----------------------------------------------------------------------
-    @property
-    def io_stats(self) -> IOStats:
-        return self._io
-
     def io_snapshot(self) -> IOStats:
         return self._io.snapshot()
 

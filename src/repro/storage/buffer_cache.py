@@ -36,30 +36,23 @@ class BufferCache:
         self._pages: "OrderedDict[Tuple[str, int], bytes]" = OrderedDict()
         self._confiscated = 0
         self._lock = threading.Lock()
+        #: The one count of this cache's requests and evictions, taken under
+        #: ``_lock``; the metrics registry renders them through callbacks.
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Optional eviction counter child, wired up by the owning Datastore
-        #: (the cache itself has no device to reach a registry through).
-        self._eviction_counter = None
 
     # -- reads ------------------------------------------------------------------
     def read_page(self, component_file: ComponentFile, page_id: int) -> bytes:
         """Read a page through the cache, recording hit/miss statistics."""
         key = (component_file.name, page_id)
-        device = component_file.device
-        stats = device.stats
         with self._lock:
             cached = self._pages.get(key)
             if cached is not None:
                 self._pages.move_to_end(key)
                 self.hits += 1
-                stats.record_cache(True)
-                device.note_cache(True)
                 return cached
             self.misses += 1
-            stats.record_cache(False)
-            device.note_cache(False)
         # The device read happens outside the lock (it may sleep under the
         # wall-clock disk model); a racing reader of the same page just
         # performs a duplicate read and the second insert wins harmlessly.
@@ -81,8 +74,6 @@ class BufferCache:
         while len(self._pages) + self._confiscated > self.capacity_pages and self._pages:
             self._pages.popitem(last=False)
             self.evictions += 1
-            if self._eviction_counter is not None:
-                self._eviction_counter.inc()
 
     # -- confiscation (AMAX temporary buffers, §4.5.2) ------------------------------
     def confiscate(self, pages: int = 1) -> None:
@@ -97,8 +88,6 @@ class BufferCache:
             ):
                 self._pages.popitem(last=False)
                 self.evictions += 1
-                if self._eviction_counter is not None:
-                    self._eviction_counter.inc()
 
     def return_confiscated(self, pages: int = 1) -> None:
         """Give confiscated pages back to the cache."""

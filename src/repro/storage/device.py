@@ -16,9 +16,11 @@ round trip and torn writes are detected on reopen.  Log files are a plain
 record stream with the same ``[length][crc32][payload]`` framing; recovery
 reads the longest valid prefix and discards a torn tail.
 
-All reads and writes are accounted in :class:`~repro.storage.stats.IOStats`
-with an optional simulated device-time model, which is what the benchmark
-harness reports alongside wall-clock time.
+Every page read or write and every log append is counted once, here, in the
+:class:`~repro.storage.stats.IOStats` of the calling thread's I/O source
+(``StorageDevice.stats_by_source``); the metrics registry only renders those
+counts.  An optional :class:`~repro.storage.stats.DiskModel` can make each
+operation sleep for its modelled cost.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Dict, List, Optional
 from urllib.parse import quote, unquote
 
 from ..model.errors import StorageError
-from ..obs.metrics import MetricsRegistry, current_io_source
+from ..obs.metrics import IO_SOURCES, MetricsRegistry, current_io_source
 from .stats import DiskModel, IOStats
 
 #: Per-page / per-record on-disk header: uint32 payload length + uint32 CRC-32.
@@ -86,10 +88,9 @@ class ComponentFile:
         page_id = len(self._pages)
         self._pages.append(bytes(data))
         self._write_slot(page_id, data)
-        cost = self.device.disk_model.write_cost(len(data))
-        self.device.stats.record_write(self.device.page_size, cost)
-        self.device.note_page_io("write", self.device.page_size)
-        self.device.disk_model.charge(cost)
+        device = self.device
+        device._counters().record_write(device.page_size)
+        device.disk_model.charge(device.disk_model.write_cost(len(data)))
         return page_id
 
     def rewrite_page(self, page_id: int, data: bytes) -> None:
@@ -104,10 +105,9 @@ class ComponentFile:
             )
         self._pages[page_id] = bytes(data)
         self._write_slot(page_id, data)
-        cost = self.device.disk_model.write_cost(len(data))
-        self.device.stats.record_write(self.device.page_size, cost)
-        self.device.note_page_io("write", self.device.page_size)
-        self.device.disk_model.charge(cost)
+        device = self.device
+        device._counters().record_write(device.page_size)
+        device.disk_model.charge(device.disk_model.write_cost(len(data)))
 
     @property
     def _slot_stride(self) -> int:
@@ -155,10 +155,7 @@ class ComponentFile:
                     f"{offset // stride} failed its checksum"
                 )
             pages.append(bytes(payload))
-            self.device.stats.record_read(
-                self.device.page_size, self.device.disk_model.read_cost(length)
-            )
-            self.device.note_page_io("read", self.device.page_size)
+            self.device._counters().record_read(self.device.page_size)
             offset += stride
         self._pages = pages
 
@@ -172,10 +169,9 @@ class ComponentFile:
                 f"({len(self._pages)} pages)"
             )
         data = self._pages[page_id]
-        cost = self.device.disk_model.read_cost(len(data))
-        self.device.stats.record_read(self.device.page_size, cost)
-        self.device.note_page_io("read", self.device.page_size)
-        self.device.disk_model.charge(cost)
+        device = self.device
+        device._counters().record_read(device.page_size)
+        device.disk_model.charge(device.disk_model.read_cost(len(data)))
         return data
 
     # -- metadata ---------------------------------------------------------------
@@ -233,12 +229,9 @@ class LogFile:
     # -- writing ---------------------------------------------------------------
     def append_record(self, payload: bytes) -> None:
         self._records.append(bytes(payload))
-        cost = self.device.disk_model.write_cost(len(payload) + _HEADER.size)
-        self.device.stats.record_wal_append(len(payload) + _HEADER.size, cost)
-        self.device.note_wal_append(
-            len(payload) + _HEADER.size, fsynced=self._on_disk_path is not None
-        )
-        self.device.disk_model.charge(cost)
+        nbytes = len(payload) + _HEADER.size
+        self.device._counters().record_wal_append(nbytes)
+        self.device.disk_model.charge(self.device.disk_model.write_cost(nbytes))
         if self._on_disk_path is None:
             return
         if self._handle is None:
@@ -308,7 +301,7 @@ class LogFile:
 
 
 class StorageDevice:
-    """A collection of component files sharing one page size and one I/O meter."""
+    """A collection of component files sharing one page size and one I/O count."""
 
     def __init__(
         self,
@@ -324,11 +317,16 @@ class StorageDevice:
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
         self.disk_model = disk_model or DiskModel()
-        self.stats = IOStats()
+        #: The one count of this device's page I/O and log appends, per I/O
+        #: source (see :func:`repro.obs.metrics.current_io_source`).
+        self.stats_by_source: Dict[str, IOStats] = {
+            source: IOStats() for source in IO_SOURCES
+        }
+        #: The registry LSM trees reach through the device; storage counts are
+        #: rendered into it by callbacks (see ``Datastore``), never incremented.
         self.metrics = metrics if metrics is not None else MetricsRegistry(
             enabled=False
         )
-        self._init_metric_children()
         self._files: Dict[str, ComponentFile] = {}
         self._log_files: Dict[str, LogFile] = {}
         self._disk_paths: Dict[str, str] = {}  # on-disk path -> component name
@@ -337,49 +335,18 @@ class StorageDevice:
         #: and delete component files concurrently with readers and writers.
         self._lock = threading.Lock()
 
-    # -- metrics ----------------------------------------------------------------
-    def _init_metric_children(self) -> None:
-        """Pre-resolve labeled children so hot paths pay one dict lookup."""
-        if not self.metrics.enabled:
-            self._page_counters = None
-            return
-        pages = self.metrics.counter("repro_io_pages_total")
-        io_bytes = self.metrics.counter("repro_io_bytes_total")
-        self._page_counters = {
-            (op, source): (
-                pages.labels(op=op, source=source),
-                io_bytes.labels(op=op, source=source),
-            )
-            for op in ("read", "write")
-            for source in ("query", "maintenance")
-        }
-        self._wal_appends = self.metrics.counter("repro_wal_appends_total")
-        self._wal_bytes = self.metrics.counter("repro_wal_bytes_total")
-        self._wal_fsyncs = self.metrics.counter("repro_wal_fsyncs_total")
-        cache = self.metrics.counter("repro_cache_requests_total")
-        self._cache_hits = cache.labels(result="hit")
-        self._cache_misses = cache.labels(result="miss")
+    # -- I/O accounting ----------------------------------------------------------
+    def _counters(self) -> IOStats:
+        """The counters the calling thread's I/O is charged to (its I/O source)."""
+        return self.stats_by_source[current_io_source()]
 
-    def note_page_io(self, op: str, nbytes: int) -> None:
-        """Record one page read/write, attributed to the thread's I/O source."""
-        if self._page_counters is None:
-            return
-        pages, io_bytes = self._page_counters[(op, current_io_source())]
-        pages.inc()
-        io_bytes.inc(nbytes)
-
-    def note_wal_append(self, nbytes: int, fsynced: bool) -> None:
-        if self._page_counters is None:
-            return
-        self._wal_appends.inc()
-        self._wal_bytes.inc(nbytes)
-        if fsynced:
-            self._wal_fsyncs.inc()
-
-    def note_cache(self, hit: bool) -> None:
-        if self._page_counters is None:
-            return
-        (self._cache_hits if hit else self._cache_misses).inc()
+    @property
+    def stats(self) -> IOStats:
+        """Read-only sum of every source's counters."""
+        total = IOStats()
+        for stats in self.stats_by_source.values():
+            total.add(stats)
+        return total
 
     def create_file(self, name: Optional[str] = None) -> ComponentFile:
         with self._lock:

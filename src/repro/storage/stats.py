@@ -27,12 +27,14 @@ from typing import Dict, List, Optional, Sequence
 
 @dataclass
 class IOStats:
-    """Counters for page-level I/O plus a simulated device-time accumulator.
+    """Counters for page-level I/O, buffer-cache requests and log appends.
 
-    One instance is shared by every thread touching the device (writers,
-    background flush/merge workers, parallel scans), so the increments are
-    taken under a lock — Python's ``+=`` on an attribute is a read-modify-
-    write that loses updates under contention.
+    The device keeps one instance per I/O source, shared by every thread
+    charged to that source (writers, background flush/merge workers,
+    parallel scans), so the increments are taken under a lock — Python's
+    ``+=`` on an attribute is a read-modify-write that loses updates under
+    contention.  The cache fields are filled from the buffer cache's own
+    counts by ``Datastore.io_snapshot``.
     """
 
     pages_read: int = 0
@@ -43,109 +45,60 @@ class IOStats:
     cache_misses: int = 0
     wal_appends: int = 0
     wal_bytes_written: int = 0
-    simulated_io_seconds: float = 0.0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def record_read(self, num_bytes: int, seconds: float = 0.0) -> None:
+    def record_read(self, num_bytes: int) -> None:
         with self._lock:
             self.pages_read += 1
             self.bytes_read += num_bytes
-            self.simulated_io_seconds += seconds
 
-    def record_write(self, num_bytes: int, seconds: float = 0.0) -> None:
+    def record_write(self, num_bytes: int) -> None:
         with self._lock:
             self.pages_written += 1
             self.bytes_written += num_bytes
-            self.simulated_io_seconds += seconds
 
-    def record_wal_append(self, num_bytes: int, seconds: float = 0.0) -> None:
+    def record_wal_append(self, num_bytes: int) -> None:
         """Account one write-ahead-log record append (not page-oriented)."""
         with self._lock:
             self.wal_appends += 1
             self.wal_bytes_written += num_bytes
-            self.simulated_io_seconds += seconds
-
-    def record_cache(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
 
     def snapshot(self) -> "IOStats":
-        return IOStats(
-            pages_read=self.pages_read,
-            pages_written=self.pages_written,
-            bytes_read=self.bytes_read,
-            bytes_written=self.bytes_written,
-            cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
-            wal_appends=self.wal_appends,
-            wal_bytes_written=self.wal_bytes_written,
-            simulated_io_seconds=self.simulated_io_seconds,
-        )
+        return IOStats(**self.as_dict())
 
     def delta_since(self, earlier: "IOStats") -> "IOStats":
         """Counters accumulated since an earlier snapshot."""
-        return IOStats(
-            pages_read=self.pages_read - earlier.pages_read,
-            pages_written=self.pages_written - earlier.pages_written,
-            bytes_read=self.bytes_read - earlier.bytes_read,
-            bytes_written=self.bytes_written - earlier.bytes_written,
-            cache_hits=self.cache_hits - earlier.cache_hits,
-            cache_misses=self.cache_misses - earlier.cache_misses,
-            wal_appends=self.wal_appends - earlier.wal_appends,
-            wal_bytes_written=self.wal_bytes_written - earlier.wal_bytes_written,
-            simulated_io_seconds=self.simulated_io_seconds - earlier.simulated_io_seconds,
-        )
+        before = earlier.as_dict()
+        return IOStats(**{
+            name: value - before[name] for name, value in self.as_dict().items()
+        })
 
     def add(self, other: "IOStats") -> None:
         """Fold another instance's counters into this one (thread-safe).
 
-        This is how the shard coordinator aggregates the per-statement I/O
-        deltas reported by remote engine processes into one cluster-wide
-        view (:class:`repro.shard.coordinator.ShardedDatastore.io_stats`).
+        This is how the device sums its per-source counters into
+        ``StorageDevice.stats``, and how the shard coordinator aggregates the
+        per-statement I/O deltas reported by remote engine processes into one
+        cluster-wide view (``ShardedDatastore.io_snapshot()``).
         """
+        counts = other.as_dict()
         with self._lock:
-            self.pages_read += other.pages_read
-            self.pages_written += other.pages_written
-            self.bytes_read += other.bytes_read
-            self.bytes_written += other.bytes_written
-            self.cache_hits += other.cache_hits
-            self.cache_misses += other.cache_misses
-            self.wal_appends += other.wal_appends
-            self.wal_bytes_written += other.wal_bytes_written
-            self.simulated_io_seconds += other.simulated_io_seconds
+            for name, value in counts.items():
+                setattr(self, name, getattr(self, name) + value)
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, float]) -> "IOStats":
+    def from_dict(cls, payload: Dict[str, int]) -> "IOStats":
         """Rebuild counters from :meth:`as_dict` output (wire deserialization)."""
-        return cls(
-            pages_read=int(payload.get("pages_read", 0)),
-            pages_written=int(payload.get("pages_written", 0)),
-            bytes_read=int(payload.get("bytes_read", 0)),
-            bytes_written=int(payload.get("bytes_written", 0)),
-            cache_hits=int(payload.get("cache_hits", 0)),
-            cache_misses=int(payload.get("cache_misses", 0)),
-            wal_appends=int(payload.get("wal_appends", 0)),
-            wal_bytes_written=int(payload.get("wal_bytes_written", 0)),
-            simulated_io_seconds=float(payload.get("simulated_io_seconds", 0.0)),
-        )
+        return cls(**{name: int(payload.get(name, 0)) for name in _COUNTERS})
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "pages_read": self.pages_read,
-            "pages_written": self.pages_written,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "wal_appends": self.wal_appends,
-            "wal_bytes_written": self.wal_bytes_written,
-            "simulated_io_seconds": round(self.simulated_io_seconds, 6),
-        }
+    def as_dict(self) -> Dict[str, int]:
+        return {name: getattr(self, name) for name in _COUNTERS}
+
+
+#: The counter fields of :class:`IOStats`, in declaration order.
+_COUNTERS = tuple(name for name in IOStats.__dataclass_fields__ if name != "_lock")
 
 
 @dataclass
@@ -154,8 +107,8 @@ class DiskModel:
 
     The defaults follow the experiment setup (§6): ~3400 MB/s sequential
     reads, ~2500 MB/s sequential writes, plus a small per-operation latency.
-    The model only feeds the ``simulated_io_seconds`` counter; wall-clock
-    timings in the benchmarks are real Python execution times.
+    The costs are paid only as wall-clock sleeps (:meth:`charge`, with
+    ``wall_clock`` on); page and byte counts live in :class:`IOStats`.
     """
 
     read_bandwidth_bytes_per_s: float = 3400e6
@@ -164,7 +117,7 @@ class DiskModel:
     #: When True, every device page read/write really sleeps for its modelled
     #: cost (releasing the GIL), so wall-clock benchmarks observe I/O latency
     #: that background flushing and parallel partition scans can overlap.
-    #: Default False: the cost only feeds the ``simulated_io_seconds`` meter.
+    #: Default False: :meth:`charge` is a no-op.
     wall_clock: bool = False
 
     def read_cost(self, num_bytes: int) -> float:

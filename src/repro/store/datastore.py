@@ -96,10 +96,7 @@ class Datastore:
             metrics=self.metrics,
         )
         self.buffer_cache = BufferCache(capacity_pages=self.config.buffer_cache_pages)
-        if self.config.observability:
-            self.buffer_cache._eviction_counter = self.metrics.counter(
-                "repro_cache_evictions_total"
-            )._unlabeled()
+        self._register_storage_metrics()
         #: Background flush/merge pool shared by every dataset; None keeps
         #: the engine fully synchronous (the default).
         self.scheduler: Optional[BackgroundScheduler] = None
@@ -416,6 +413,31 @@ class Datastore:
             dataset.primary_key_index.destroy()
 
     # -- observability -------------------------------------------------------------------
+    def _register_storage_metrics(self) -> None:
+        """Render the storage series from the counts the device and the buffer
+        cache own: each event is counted once, in storage, and the registry
+        reads the count at render time (nothing is registered when
+        observability is off, but the counts keep running)."""
+        register = self.metrics.register_callback
+        device, cache = self.device, self.buffer_cache
+        for source, stats in device.stats_by_source.items():
+            for op, suffix in (("read", "read"), ("write", "written")):
+                register("repro_io_pages_total",
+                         lambda s=stats, f=f"pages_{suffix}": getattr(s, f),
+                         op=op, source=source)
+                register("repro_io_bytes_total",
+                         lambda s=stats, f=f"bytes_{suffix}": getattr(s, f),
+                         op=op, source=source)
+        register("repro_wal_appends_total", lambda: device.stats.wal_appends)
+        register("repro_wal_bytes_total", lambda: device.stats.wal_bytes_written)
+        # Every on-disk append is flushed to the OS (not fsync(2)'d).
+        register("repro_wal_fsyncs_total",
+                 lambda: device.stats.wal_appends
+                 if device.directory is not None else 0)
+        register("repro_cache_requests_total", lambda: cache.hits, result="hit")
+        register("repro_cache_requests_total", lambda: cache.misses, result="miss")
+        register("repro_cache_evictions_total", lambda: cache.evictions)
+
     @contextmanager
     def traced_statement(
         self,
@@ -446,28 +468,17 @@ class Datastore:
             yield existing
             return
         trace = QueryTrace(query_id=query_id, text=text)
-        pages_read_before = self.metrics.get_value(
-            "repro_io_pages_total", op="read", source="query"
-        )
-        pages_written_before = self.metrics.get_value(
-            "repro_io_pages_total", op="write", source="query"
-        )
+        query_io = self.device.stats_by_source["query"]
+        before = query_io.snapshot()
         try:
             with activate(trace, started):
                 yield trace
         finally:
             duration = trace.root.duration_s
+            delta = query_io.delta_since(before)
             io_attribution = {
-                "pages_read": int(
-                    self.metrics.get_value(
-                        "repro_io_pages_total", op="read", source="query"
-                    ) - pages_read_before
-                ),
-                "pages_written": int(
-                    self.metrics.get_value(
-                        "repro_io_pages_total", op="write", source="query"
-                    ) - pages_written_before
-                ),
+                "pages_read": delta.pages_read,
+                "pages_written": delta.pages_written,
             }
             trace.root.attrs.setdefault("executor", executor)
             trace.root.attrs["io"] = io_attribution
@@ -629,12 +640,13 @@ class Datastore:
         return rendering
 
     # -- statistics ----------------------------------------------------------------------
-    @property
-    def io_stats(self) -> IOStats:
-        return self.device.stats
-
     def io_snapshot(self) -> IOStats:
-        return self.device.stats.snapshot()
+        """This store's I/O so far: the device's page and log counts of every
+        source, plus the buffer cache's hits and misses."""
+        snapshot = self.device.stats
+        snapshot.cache_hits = self.buffer_cache.hits
+        snapshot.cache_misses = self.buffer_cache.misses
+        return snapshot
 
     def total_storage_bytes(self) -> int:
         return sum(dataset.storage_size_bytes() for dataset in self.datasets.values())

@@ -142,7 +142,7 @@ def test_shadow_spans_and_group_placement():
 def _touches(store, text):
     before = store.io_snapshot()
     rows = store.query(text, executor="batch")
-    delta = store.io_stats.delta_since(before)
+    delta = store.io_snapshot().delta_since(before)
     return rows, delta.pages_read + delta.cache_hits
 
 

@@ -432,6 +432,115 @@ def test_wal_metrics_count_durable_appends(tmp_path):
         store.close()
 
 
+def _rendered_samples(text: str) -> dict:
+    """``{"name{labels}": value}`` for every sample line of an exposition."""
+    samples = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            series, value = line.rsplit(" ", 1)
+            assert series not in samples, series  # each series rendered once
+            samples[series] = float(value)
+    return samples
+
+
+def _storage_owners(store: Datastore) -> dict:
+    """Each storage series the registry renders, and the count that owns it."""
+    owners = {}
+    for source, stats in store.device.stats_by_source.items():
+        for op, suffix in (("read", "read"), ("write", "written")):
+            labels = f'{{op="{op}",source="{source}"}}'
+            owners["repro_io_pages_total" + labels] = getattr(stats, f"pages_{suffix}")
+            owners["repro_io_bytes_total" + labels] = getattr(stats, f"bytes_{suffix}")
+    io = store.io_snapshot()
+    owners["repro_wal_appends_total"] = io.wal_appends
+    owners["repro_wal_bytes_total"] = io.wal_bytes_written
+    # On-disk logs flush every append to the OS.
+    owners["repro_wal_fsyncs_total"] = io.wal_appends
+    cache = store.buffer_cache
+    owners['repro_cache_requests_total{result="hit"}'] = cache.hits
+    owners['repro_cache_requests_total{result="miss"}'] = cache.misses
+    owners["repro_cache_evictions_total"] = cache.evictions
+    return owners
+
+
+def test_storage_series_render_the_counts_storage_owns(tmp_path):
+    store = Datastore(StoreConfig(
+        partitions_per_node=2,
+        page_size=4096,
+        memory_component_budget=8 * 1024,
+        max_tolerable_components=2,
+        buffer_cache_pages=2,
+        background_workers=1,
+        parallel_scan_workers=2,
+        storage_directory=str(tmp_path),
+    ))
+    try:
+        store.create_dataset("d", layout="amax", primary_key_field="id")
+        dataset = store.dataset("d")
+        dataset.insert_many(
+            {"id": i, "g": i % 4, "v": float(i), "s": "x" * (i % 50)}
+            for i in range(1500)
+        )
+        dataset.flush_all()
+        store.drain_background()
+        assert sum(tree.merge_count for tree in dataset.partitions) > 0
+        for _ in range(2):
+            store.query(GROUP_QUERY)
+            store.query("SELECT COUNT(*) AS n FROM d AS t WHERE t.v >= 10;")
+        for key in (1, 700, 1499, 5000):
+            dataset.point_lookup(key)
+        store.drain_background()
+
+        samples = _rendered_samples(store.metrics_text())
+        owners = _storage_owners(store)
+        assert len(owners) == 14
+        for series, count in owners.items():
+            assert samples[series] == count, series
+        rendered = {
+            series for series in samples
+            if series.startswith(("repro_io_", "repro_wal_", "repro_cache_"))
+        }
+        assert rendered == set(owners)
+        # Every kind of event happened, so the equalities above are not 0 == 0.
+        by_source = store.device.stats_by_source
+        assert by_source["maintenance"].pages_written > 0
+        assert by_source["maintenance"].pages_read > 0  # merges read components
+        assert by_source["query"].pages_read > 0
+        cache = store.buffer_cache
+        assert cache.hits > 0 and cache.misses > 0 and cache.evictions > 0
+        # The store surface sums the same counts.
+        io = store.io_snapshot()
+        assert io.pages_read == sum(s.pages_read for s in by_source.values())
+        assert io.pages_written == sum(s.pages_written for s in by_source.values())
+        assert (io.cache_hits, io.cache_misses) == (cache.hits, cache.misses)
+        assert io.wal_appends >= 1500
+    finally:
+        store.close()
+
+
+def test_storage_counts_keep_running_with_observability_off():
+    store = make_store(observability=False)
+    try:
+        before = store.io_snapshot()
+        store.dataset("d").flush_all()
+        store.query("SELECT COUNT(*) AS n FROM d AS t WHERE t.v >= 0;")
+        delta = store.io_snapshot().delta_since(before)
+        assert delta.pages_written > 0
+        assert delta.pages_read + delta.cache_hits > 0
+        text = store.explain(
+            "SELECT t.id AS id FROM d AS t WHERE t.v >= 100;", analyze=True
+        )
+        pages = [
+            int(line.split(":")[1])
+            for line in text.splitlines()
+            if "actual pages read:" in line
+        ]
+        assert pages and max(pages) > 0
+        assert store.metrics_text() == "# observability disabled\n"
+    finally:
+        store.close()
+
+
 def test_engine_metrics_text_exposes_every_subsystem():
     # Background workers so the scheduler's callback gauges are registered.
     store = make_store(background_workers=1)

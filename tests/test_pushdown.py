@@ -235,10 +235,10 @@ class TestEndToEnd:
         )
         before = store.io_snapshot()
         rows = query.execute(store, pushdown=True)
-        with_pages = store.io_stats.delta_since(before)
+        with_pages = store.io_snapshot().delta_since(before)
         before = store.io_snapshot()
         rows_disabled = query.execute(store, pushdown=False)
-        without_pages = store.io_stats.delta_since(before)
+        without_pages = store.io_snapshot().delta_since(before)
         assert rows == rows_disabled == []
         touched = with_pages.pages_read + with_pages.cache_hits
         baseline = without_pages.pages_read + without_pages.cache_hits

@@ -210,7 +210,7 @@ class TestExecutors:
             with pytest.raises(QueryError, match="one of: interpreted, batch"):
                 run()
         # Rejected before the join's build side (or anything else) was read.
-        delta = store.io_stats.delta_since(before)
+        delta = store.io_snapshot().delta_since(before)
         assert delta.pages_read + delta.cache_hits == 0
 
     @pytest.mark.parametrize("batch_size", [-1, 0, 1.5, "x", True])

@@ -649,7 +649,7 @@ NAMED_COLUMNS = {
 def _page_touches(store, text, executor):
     before = store.io_snapshot()
     rows = store.query(text, executor=executor)
-    delta = store.io_stats.delta_since(before)
+    delta = store.io_snapshot().delta_since(before)
     return rows, delta.pages_read + delta.cache_hits
 
 

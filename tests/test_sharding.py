@@ -451,8 +451,8 @@ def test_pushdown_moves_aggregates_not_rows(sharded_env):
     assert merge["kind"] == "aggregate"
     assert merge["rows_in"] == num_shards
     # ... and per shard the COUNT(*) shortcut reads zero data pages (the
-    # shards' done frames feed the coordinator's io_stats).
-    io = sharded.io_stats.delta_since(before)
+    # shards' done frames feed the coordinator's io_snapshot()).
+    io = sharded.io_snapshot().delta_since(before)
     assert io.pages_read + io.cache_hits == 0
     # GROUP BY: per-shard groups cross, bounded by shards × group count —
     # for a low-cardinality key, far fewer rows than the dataset holds.

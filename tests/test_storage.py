@@ -13,6 +13,7 @@ from repro.lsm.wal import (
     encode_wal_record,
 )
 from repro.model.errors import StorageError
+from repro.obs import maintenance_io
 from repro.storage import BufferCache, DiskModel, IOStats, StorageDevice
 
 
@@ -66,7 +67,27 @@ class TestStorageDevice:
         assert device.stats.pages_written == 1
         assert device.stats.pages_read == 1
         assert device.stats.bytes_written == 4096
-        assert device.stats.simulated_io_seconds > 0
+
+    def test_io_is_charged_to_its_source(self):
+        device = StorageDevice(page_size=4096)
+        handle = device.create_file("c1")
+        handle.append_page(b"a" * 100)
+        log = device.open_log_file("wal")
+        with maintenance_io():
+            handle.read_page(0)
+            log.append_record(b"m")
+        handle.read_page(0)
+        handle.read_page(0)
+        query = device.stats_by_source["query"]
+        maintenance = device.stats_by_source["maintenance"]
+        assert (query.pages_written, query.pages_read) == (1, 2)
+        assert (maintenance.pages_written, maintenance.pages_read) == (0, 1)
+        assert (query.wal_appends, maintenance.wal_appends) == (0, 1)
+        total = device.stats
+        assert (total.pages_read, total.pages_written) == (3, 1)
+        assert total.bytes_read == 3 * 4096
+        assert total.wal_appends == 1
+        assert total.wal_bytes_written == maintenance.wal_bytes_written > 1
 
     def test_on_disk_persistence(self, tmp_path):
         device = StorageDevice(page_size=4096, directory=str(tmp_path))
@@ -159,6 +180,19 @@ class TestIOStats:
         assert delta.pages_read == 1
         assert delta.pages_written == 1
         assert stats.as_dict()["pages_read"] == 2
+
+    def test_add_and_dict_round_trip(self):
+        stats = IOStats()
+        stats.record_read(4096)
+        stats.record_wal_append(12)
+        total = IOStats.from_dict(stats.as_dict())
+        total.add(stats)
+        assert total.as_dict() == {
+            "pages_read": 2, "pages_written": 0,
+            "bytes_read": 8192, "bytes_written": 0,
+            "cache_hits": 0, "cache_misses": 0,
+            "wal_appends": 2, "wal_bytes_written": 24,
+        }
 
     def test_disk_model_costs(self):
         model = DiskModel()

@@ -75,10 +75,7 @@ def both(clients, payload: dict, extra=frozenset({"shards"})):
         assert isinstance(engine, RemoteError), (payload, coordinator.done)
         assert isinstance(coordinator, RemoteError), (payload, engine.done)
         assert str(coordinator) == str(engine)
-        # An error raised *on a shard* is relayed with the shard's message but
-        # the relaying class as its code (unchanged by the one-handler
-        # refactor; the coordinator's own errors keep their code).
-        assert coordinator.code in (engine.code, "RemoteError"), payload
+        assert coordinator.code == engine.code, payload
         return engine
     assert sorted(map(repr, coordinator.rows)) == sorted(map(repr, engine.rows))
     if "ORDER BY" in payload.get("text", ""):
