@@ -343,10 +343,7 @@ class StorageDevice:
     @property
     def stats(self) -> IOStats:
         """Read-only sum of every source's counters."""
-        total = IOStats()
-        for stats in self.stats_by_source.values():
-            total.add(stats)
-        return total
+        return IOStats.total(self.stats_by_source.values())
 
     def create_file(self, name: Optional[str] = None) -> ComponentFile:
         with self._lock:

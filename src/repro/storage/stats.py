@@ -18,11 +18,12 @@ Two kinds of statistics live here:
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
 @dataclass
@@ -66,26 +67,28 @@ class IOStats:
             self.wal_bytes_written += num_bytes
 
     def snapshot(self) -> "IOStats":
-        return IOStats(**self.as_dict())
+        return IOStats(*_counts(self))
 
     def delta_since(self, earlier: "IOStats") -> "IOStats":
         """Counters accumulated since an earlier snapshot."""
-        before = earlier.as_dict()
-        return IOStats(**{
-            name: value - before[name] for name, value in self.as_dict().items()
-        })
+        return IOStats(*map(operator.sub, _counts(self), _counts(earlier)))
+
+    @classmethod
+    def total(cls, parts: Iterable["IOStats"]) -> "IOStats":
+        """A new instance holding the sum of ``parts``' counters."""
+        columns = zip(*(_counts(part) for part in parts))
+        return cls(*(sum(column) for column in columns))
 
     def add(self, other: "IOStats") -> None:
         """Fold another instance's counters into this one (thread-safe).
 
-        This is how the device sums its per-source counters into
-        ``StorageDevice.stats``, and how the shard coordinator aggregates the
-        per-statement I/O deltas reported by remote engine processes into one
-        cluster-wide view (``ShardedDatastore.io_snapshot()``).
+        This is how the shard coordinator aggregates the per-statement I/O
+        deltas reported by remote engine processes into one cluster-wide
+        view (``ShardedDatastore.io_snapshot()``).
         """
-        counts = other.as_dict()
+        counts = _counts(other)
         with self._lock:
-            for name, value in counts.items():
+            for name, value in zip(_COUNTERS, counts):
                 setattr(self, name, getattr(self, name) + value)
 
     @classmethod
@@ -94,11 +97,12 @@ class IOStats:
         return cls(**{name: int(payload.get(name, 0)) for name in _COUNTERS})
 
     def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in _COUNTERS}
+        return dict(zip(_COUNTERS, _counts(self)))
 
 
-#: The counter fields of :class:`IOStats`, in declaration order.
+#: The counter fields of :class:`IOStats`, in declaration (= positional) order.
 _COUNTERS = tuple(name for name in IOStats.__dataclass_fields__ if name != "_lock")
+_counts = operator.attrgetter(*_COUNTERS)
 
 
 @dataclass
