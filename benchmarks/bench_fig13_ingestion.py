@@ -2,9 +2,11 @@
 
 Expected shape (paper §6.3):
 
-* ``cell``    — ingestion is bottlenecked by the transaction log, so the four
-  layouts ingest at roughly the same rate (we check the simulated log cost
-  dominates and that the layouts are within a small factor of each other);
+* ``cell``    — ingestion is bottlenecked by the transaction log buffer, so
+  the four layouts ingest at roughly the same rate.  This engine does not
+  model that §6.3.1 log-buffer bottleneck (its log is one buffered file
+  append per record), so only the real per-layout times are reported and
+  checked, like every other dataset's;
 * ``sensors`` — Open is the slowest (recursive record construction); VB and the
   columnar layouts are comparable;
 * ``tweet_1`` — APAX pays the highest columnar-transformation cost (hundreds of
@@ -54,20 +56,6 @@ def test_fig13a_insert_only(
     # factor of the row layouts (they are not free, but not pathological).
     for name, by_layout in times.items():
         assert by_layout["amax"] < 6 * by_layout["vector"], name
-
-    # cell: the transaction log dominates, so layouts stay close to each other.
-    cell_store_log = {
-        layout: fixture.store.log_manager.total_simulated_seconds
-        for layout, fixture in cell_fixtures.items()
-    }
-    log_rows = [[layout, round(seconds, 3)] for layout, seconds in cell_store_log.items()]
-    print_figure(
-        "Figure 13a (cell) — simulated transaction-log cost (seconds, identical per layout)",
-        ["layout", "log seconds"],
-        log_rows,
-    )
-    values = list(cell_store_log.values())
-    assert max(values) - min(values) < 1e-6  # identical record cardinality → identical log cost
 
 
 def test_fig13a_update_intensive_tweet2(benchmark, tweet2_fixtures):

@@ -4,10 +4,8 @@ Two claims the distribution layer must back up:
 
 * **Do aggregate queries scale with shards?**  Each shard runs the pushed-down
   partial-aggregate fragment over its own slice of the data, so a cluster
-  of N engine *processes* overlaps N slices of device time.  Both phases use
-  the wall-clock disk model (``simulate_device_latency``) — per-page sleeps
-  release the GIL *and* the process boundary, so the overlap is real even on
-  a single-core host, the same way real shards overlap real NVMe queues.
+  of N engine *processes* overlaps N slices of real page reads and decode
+  work — overlap that needs as many free cores as shards.
 * **Does the asyncio frontend sustain 100+ concurrent clients?**  One
   in-process server multiplexes 100 blocking clients, each running a small
   insert/aggregate mix; the bench records throughput and tail latency and
@@ -37,16 +35,12 @@ SHARD_RECORDS = 3000
 QUERY_ROUNDS = 4
 
 #: Per-shard store settings: small pages + a tiny cache make the aggregate
-#: scan touch many pages, and the wall-clock device model (1 ms/op, think a
-#: congested cloud block store) makes each touch cost real, overlappable
-#: time.  Matches the regime of ``bench_concurrency.py``'s scan benchmark.
+#: scan touch many pages.
 SHARD_STORE_CONFIG = {
     "page_size": 4096,
     "buffer_cache_pages": 16,
     "compression": "none",
     "partitions_per_node": 1,
-    "simulate_device_latency": True,
-    "device_latency_s": 1e-3,
     "memory_component_budget": 256 * 1024,
 }
 
@@ -143,7 +137,7 @@ def test_scatter_gather_scales_with_shards(benchmark, tmp_path):
     print_figure(
         f"Shard scaling — {SHARD_RECORDS} cell records, "
         f"{QUERY_ROUNDS}×{len(SHARD_QUERIES)} pushed-down aggregates "
-        "(amax, wall-clock disk model, 1 ms/op device)",
+        "(amax, on-disk shards)",
         ["shards", "load s", "load ×", "query s", "query ×", "rows moved/round"],
         rows,
     )

@@ -6,22 +6,18 @@ memtable recoverable: after a crash, replaying the log tail (the records whose
 LSN exceeds the per-partition durable LSN recorded in the dataset manifest)
 rebuilds exactly the un-flushed state.
 
-Two concerns live side by side here, deliberately:
+The durable format: :class:`WALRecord` and its codec serialize insert/delete
+operations (reusing :func:`repro.rowformats.vector_format.encode_document`
+with a record-local field-name dictionary so every record is
+self-contained), and :class:`TransactionLog` appends the framed records to a
+per-node :class:`~repro.storage.device.LogFile` that flushes on every
+append.  LSNs are allocated from one :class:`LogManager`-wide counter so
+that replay has a total order even across node logs.  Appends are counted
+once, by the device (``wal_appends`` / ``wal_bytes_written``).
 
-* **Durability** — :class:`WALRecord` and its codec serialize insert/delete
-  operations (reusing :func:`repro.rowformats.vector_format.encode_document`
-  with a record-local field-name dictionary so every record is
-  self-contained), and :class:`TransactionLog` appends the framed records to a
-  per-node :class:`~repro.storage.device.LogFile` that flushes on every
-  append.  LSNs are allocated from one :class:`LogManager`-wide counter so
-  that replay has a total order even across node logs.
-* **Cost modelling** — the paper's ``cell`` experiment (§6.3.1) shows the log
-  buffer is the ingestion bottleneck when many partitions share one node:
-  record cardinality (not record size) dominates, so all four layouts ingest
-  at the same rate, and splitting the partitions across more nodes (more log
-  buffers) speeds everyone up.  The contention model charges each append a
-  base CPU cost plus a penalty that grows with the number of partitions
-  sharing the buffer, whether or not a real file backs the log.
+The paper's ``cell`` experiment (§6.3.1) finds the shared log buffer to be
+the ingestion bottleneck when many partitions share one node; this log does
+not model that contention, it only does the real encoding and file work.
 """
 
 from __future__ import annotations
@@ -193,27 +189,16 @@ def decode_wal_record(data: bytes):
 
 @dataclass
 class TransactionLog:
-    """A per-node transaction log with a contention cost model on top.
+    """A per-node transaction log.
 
-    :meth:`append` is the pure cost-model entry point (kept for tests and
-    benchmarks that only care about simulated seconds); :meth:`log_record`
-    is the durable path — it serializes the operation, charges the cost
-    model for the record's bytes, and appends to the backing
+    :meth:`log_record` serializes one operation and appends it to the backing
     :class:`~repro.storage.device.LogFile` when one is attached.
     """
 
     node_id: int = 0
-    sharing_partitions: int = 1
-    base_append_cost_s: float = 2e-6
-    per_byte_cost_s: float = 1e-9
-    contention_cost_s: float = 1.5e-6
-
-    entries: int = 0
-    bytes_appended: int = 0
-    simulated_seconds: float = 0.0
-
-    #: Backing file; None keeps the log purely in the cost model (in-memory
-    #: datastores lose nothing by not writing a log they could never replay).
+    #: Backing file; None writes no log (in-memory datastores lose nothing by
+    #: not writing a log they could never replay).  Records are encoded
+    #: either way, so both kinds of store accept the same documents.
     log_file: Optional[LogFile] = None
     #: Global LSN allocator (shared across a LogManager's logs); None falls
     #: back to a log-local counter.
@@ -224,18 +209,6 @@ class TransactionLog:
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-
-    def append(self, entry_bytes: int) -> float:
-        """Charge one commit entry to the cost model; returns simulated seconds."""
-        cost = (
-            self.base_append_cost_s
-            + entry_bytes * self.per_byte_cost_s
-            + self.contention_cost_s * max(0, self.sharing_partitions - 1)
-        )
-        self.entries += 1
-        self.bytes_appended += entry_bytes
-        self.simulated_seconds += cost
-        return cost
 
     def _allocate_lsn(self) -> int:
         if self.lsn_allocator is not None:
@@ -261,7 +234,6 @@ class TransactionLog:
                     txn_id=txn_id,
                 )
             )
-            self.append(len(payload))
             if self.log_file is not None:
                 self.log_file.append_record(payload)
             return lsn
@@ -276,7 +248,6 @@ class TransactionLog:
         with self._lock:
             lsn = self._allocate_lsn()
             payload = encode_wal_record(CommitRecord(lsn, txn_id, write_count))
-            self.append(len(payload))
             if self.log_file is not None:
                 self.log_file.append_record(payload)
             return lsn
@@ -319,7 +290,6 @@ class LogManager:
                 log_file = self.device.open_log_file(f"wal-node{node_id}.log")
             self.logs[node_id] = TransactionLog(
                 node_id=node_id,
-                sharing_partitions=self.partitions_per_node,
                 log_file=log_file,
                 lsn_allocator=self._allocate_lsn,
             )
@@ -381,14 +351,6 @@ class LogManager:
             log.truncate()
 
     # -- statistics ----------------------------------------------------------------
-    @property
-    def total_simulated_seconds(self) -> float:
-        return sum(log.simulated_seconds for log in self.logs.values())
-
-    @property
-    def total_entries(self) -> int:
-        return sum(log.entries for log in self.logs.values())
-
     @property
     def total_log_bytes(self) -> int:
         """Bytes currently held in the backing log files (0 when unbacked)."""

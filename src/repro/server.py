@@ -28,6 +28,7 @@ import asyncio
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import List, Optional, Tuple
 
 from .net.server import (
@@ -50,10 +51,26 @@ def _parse_address(text: str) -> Tuple[str, int]:
     return host, int(port)
 
 
+def _config_overrides(text: str) -> dict:
+    """Parse ``--config-json``: a JSON object of known StoreConfig fields."""
+    try:
+        overrides = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"not valid JSON: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise argparse.ArgumentTypeError(
+            f"expected a JSON object, got {type(overrides).__name__}"
+        )
+    unknown = sorted(set(overrides) - {f.name for f in fields(StoreConfig)})
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown StoreConfig field(s): {', '.join(unknown)}"
+        )
+    return overrides
+
+
 def _engine_store(args: argparse.Namespace) -> Datastore:
-    overrides = {}
-    if args.config_json:
-        overrides.update(json.loads(args.config_json))
+    overrides = dict(args.config_json or {})
     if args.partitions_per_node is not None:
         overrides["partitions_per_node"] = args.partitions_per_node
     if args.parallel_scan_workers is not None:
@@ -195,6 +212,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--config-json",
+        type=_config_overrides,
         metavar="JSON",
         help="StoreConfig field overrides as a JSON object, applied when "
         "creating a new store (an existing --store directory keeps the "

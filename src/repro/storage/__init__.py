@@ -2,6 +2,6 @@
 
 from .buffer_cache import BufferCache
 from .device import ComponentFile, StorageDevice
-from .stats import DiskModel, IOStats
+from .stats import IOStats
 
-__all__ = ["BufferCache", "ComponentFile", "DiskModel", "IOStats", "StorageDevice"]
+__all__ = ["BufferCache", "ComponentFile", "IOStats", "StorageDevice"]

@@ -53,9 +53,9 @@ class BufferCache:
                 self.hits += 1
                 return cached
             self.misses += 1
-        # The device read happens outside the lock (it may sleep under the
-        # wall-clock disk model); a racing reader of the same page just
-        # performs a duplicate read and the second insert wins harmlessly.
+        # The device read happens outside the lock, so the cache lock never
+        # nests the device's counter lock; a racing reader of the same page
+        # just performs a duplicate (counted) read and the second insert wins.
         data = component_file.read_page(page_id)
         with self._lock:
             self._insert_locked(key, data)

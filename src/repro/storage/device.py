@@ -19,8 +19,8 @@ reads the longest valid prefix and discards a torn tail.
 Every page read or write and every log append is counted once, here, in the
 :class:`~repro.storage.stats.IOStats` of the calling thread's I/O source
 (``StorageDevice.stats_by_source``); the metrics registry only renders those
-counts.  An optional :class:`~repro.storage.stats.DiskModel` can make each
-operation sleep for its modelled cost.
+counts.  Nothing here models a device: the counts are the engine's real page
+and log traffic, and wall-clock time is whatever the host's files cost.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from urllib.parse import quote, unquote
 
 from ..model.errors import StorageError
 from ..obs.metrics import IO_SOURCES, MetricsRegistry, current_io_source
-from .stats import DiskModel, IOStats
+from .stats import IOStats
 
 #: Per-page / per-record on-disk header: uint32 payload length + uint32 CRC-32.
 _HEADER = struct.Struct("<II")
@@ -88,9 +88,7 @@ class ComponentFile:
         page_id = len(self._pages)
         self._pages.append(bytes(data))
         self._write_slot(page_id, data)
-        device = self.device
-        device._counters().record_write(device.page_size)
-        device.disk_model.charge(device.disk_model.write_cost(len(data)))
+        self.device._counters().record_write(self.device.page_size)
         return page_id
 
     def rewrite_page(self, page_id: int, data: bytes) -> None:
@@ -105,9 +103,7 @@ class ComponentFile:
             )
         self._pages[page_id] = bytes(data)
         self._write_slot(page_id, data)
-        device = self.device
-        device._counters().record_write(device.page_size)
-        device.disk_model.charge(device.disk_model.write_cost(len(data)))
+        self.device._counters().record_write(self.device.page_size)
 
     @property
     def _slot_stride(self) -> int:
@@ -168,11 +164,8 @@ class ComponentFile:
                 f"page {page_id} out of range for component {self.name!r} "
                 f"({len(self._pages)} pages)"
             )
-        data = self._pages[page_id]
-        device = self.device
-        device._counters().record_read(device.page_size)
-        device.disk_model.charge(device.disk_model.read_cost(len(data)))
-        return data
+        self.device._counters().record_read(self.device.page_size)
+        return self._pages[page_id]
 
     # -- metadata ---------------------------------------------------------------
     @property
@@ -229,9 +222,7 @@ class LogFile:
     # -- writing ---------------------------------------------------------------
     def append_record(self, payload: bytes) -> None:
         self._records.append(bytes(payload))
-        nbytes = len(payload) + _HEADER.size
-        self.device._counters().record_wal_append(nbytes)
-        self.device.disk_model.charge(self.device.disk_model.write_cost(nbytes))
+        self.device._counters().record_wal_append(len(payload) + _HEADER.size)
         if self._on_disk_path is None:
             return
         if self._handle is None:
@@ -307,7 +298,6 @@ class StorageDevice:
         self,
         page_size: int = 128 * 1024,
         directory: Optional[str] = None,
-        disk_model: Optional[DiskModel] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if page_size <= 0:
@@ -316,7 +306,6 @@ class StorageDevice:
         self.directory = directory
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
-        self.disk_model = disk_model or DiskModel()
         #: The one count of this device's page I/O and log appends, per I/O
         #: source (see :func:`repro.obs.metrics.current_io_source`).
         self.stats_by_source: Dict[str, IOStats] = {

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import operator
 import threading
-import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -103,37 +102,6 @@ class IOStats:
 #: The counter fields of :class:`IOStats`, in declaration (= positional) order.
 _COUNTERS = tuple(name for name in IOStats.__dataclass_fields__ if name != "_lock")
 _counts = operator.attrgetter(*_COUNTERS)
-
-
-@dataclass
-class DiskModel:
-    """A simple sequential-throughput model of the paper's NVMe SSD.
-
-    The defaults follow the experiment setup (§6): ~3400 MB/s sequential
-    reads, ~2500 MB/s sequential writes, plus a small per-operation latency.
-    The costs are paid only as wall-clock sleeps (:meth:`charge`, with
-    ``wall_clock`` on); page and byte counts live in :class:`IOStats`.
-    """
-
-    read_bandwidth_bytes_per_s: float = 3400e6
-    write_bandwidth_bytes_per_s: float = 2500e6
-    per_operation_latency_s: float = 20e-6
-    #: When True, every device page read/write really sleeps for its modelled
-    #: cost (releasing the GIL), so wall-clock benchmarks observe I/O latency
-    #: that background flushing and parallel partition scans can overlap.
-    #: Default False: :meth:`charge` is a no-op.
-    wall_clock: bool = False
-
-    def read_cost(self, num_bytes: int) -> float:
-        return self.per_operation_latency_s + num_bytes / self.read_bandwidth_bytes_per_s
-
-    def write_cost(self, num_bytes: int) -> float:
-        return self.per_operation_latency_s + num_bytes / self.write_bandwidth_bytes_per_s
-
-    def charge(self, seconds: float) -> None:
-        """Apply one operation's cost to wall-clock time (no-op by default)."""
-        if self.wall_clock and seconds > 0:
-            time.sleep(seconds)
 
 
 # ======================================================================================

@@ -3,7 +3,8 @@
 Defaults follow the paper's experiment setup (§6) scaled down to laptop-sized
 synthetic datasets: 128 KB on-disk pages, Snappy-style page compression, a
 tiering merge policy with ratio 1.2 and at most 5 components, and a cap on
-concurrent merges for the columnar layouts.
+concurrent merges for the columnar layouts.  The paper's NVMe device is not
+modelled: every count and timing a store reports is work it did on the host.
 """
 
 from __future__ import annotations
@@ -54,14 +55,6 @@ class StoreConfig:
     #: Thread-pool size for fanning a scan out across partitions; 0 keeps
     #: scans sequential on the caller's thread.
     parallel_scan_workers: int = 0
-    #: When True the disk model's per-operation costs become real sleeps, so
-    #: wall-clock benchmarks observe device latency that background flushing
-    #: and parallel scans can overlap (see bench_concurrency.py).
-    simulate_device_latency: bool = False
-    #: Override the disk model's per-operation latency in seconds (None keeps
-    #: the NVMe default).  Raising it models slower devices — e.g. ~1 ms for
-    #: cloud block storage — where overlapping I/O matters most.
-    device_latency_s: Optional[float] = None
     #: Observability master switch: the metrics registry and per-statement
     #: tracing (repro/obs).  Off turns every instrument into a no-op, which
     #: is what bench_observability.py compares against.

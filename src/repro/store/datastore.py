@@ -37,7 +37,7 @@ from ..obs import (
 )
 from ..storage.buffer_cache import BufferCache
 from ..storage.device import StorageDevice
-from ..storage.stats import DiskModel, IOStats
+from ..storage.stats import IOStats
 from . import manifest as manifest_io
 from .config import StoreConfig
 from .dataset import Dataset
@@ -86,13 +86,9 @@ class Datastore:
         #: Engine-wide metrics registry (see docs/OBSERVABILITY.md); disabled
         #: instruments are no-ops when ``config.observability`` is off.
         self.metrics = MetricsRegistry(enabled=self.config.observability)
-        disk_model = DiskModel(wall_clock=self.config.simulate_device_latency)
-        if self.config.device_latency_s is not None:
-            disk_model.per_operation_latency_s = self.config.device_latency_s
         self.device = StorageDevice(
             page_size=self.config.page_size,
             directory=self.config.storage_directory,
-            disk_model=disk_model,
             metrics=self.metrics,
         )
         self.buffer_cache = BufferCache(capacity_pages=self.config.buffer_cache_pages)

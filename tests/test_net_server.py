@@ -9,6 +9,7 @@ handlers need the main thread, so tests shut it down via
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 
@@ -27,7 +28,7 @@ from repro.net.protocol import (
 )
 from repro.store import Datastore, StoreConfig
 
-from conftest import RETIRED_EXECUTOR, ServerThread
+from conftest import RETIRED_CONFIG, RETIRED_EXECUTOR, ServerThread
 
 
 # ======================================================================================
@@ -349,3 +350,29 @@ def test_shell_connect_roundtrip(accounts_server):
     assert shell.run_command("\\d") is None
     assert "accounts  layout=amax  records=1" in out.getvalue()
     client.close()
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"bogus_field": 1}', ["bogus_field"]),
+        (json.dumps({**RETIRED_CONFIG, "page_size": 8192}), sorted(RETIRED_CONFIG)),
+        ("[1, 2]", ["expected a JSON object"]),
+        ("{not json", ["not valid JSON"]),
+    ],
+)
+def test_server_rejects_bad_config_json(capsys, monkeypatch, text, named):
+    """A bad ``--config-json`` is a usage error naming the culprit, not a crash."""
+    from repro import server
+
+    def serve(args):  # reached only if the config was accepted
+        raise AssertionError(f"--config-json {text!r} was accepted")
+
+    monkeypatch.setattr(server, "_serve", serve)
+    with pytest.raises(SystemExit) as exit_info:
+        server.main(["--empty", "--config-json", text])
+    assert exit_info.value.code == 2
+    error = capsys.readouterr().err
+    assert "--config-json" in error
+    assert all(part in error for part in named)
+    assert "page_size" not in error  # only the unknown keys are named

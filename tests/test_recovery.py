@@ -14,16 +14,18 @@ manifests, WAL replay, secondary-index runs, and the primary-key index.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from conftest import derive_seed, resolve_seed, seeded_rng
+from conftest import RETIRED_CONFIG, derive_seed, resolve_seed, seeded_rng
 
 from repro import Datastore, StoreConfig
 from repro.lsm.component import ALL_LAYOUTS
 from repro.lsm.keys import stable_key_hash
 from repro.model.errors import TransactionConflictError
+from repro.store.manifest import DATASTORE_MANIFEST
 
 #: Random workload seeds; every (layout, seed) pair is an independent test.
 SEEDS = [11, 23]
@@ -189,6 +191,38 @@ def test_clean_close_leaves_no_wal_tail(tmp_path):
     reopened = Datastore.open(str(tmp_path))
     assert reopened.last_recovery.wal_records_seen == 0  # checkpointed away
     verify_against_oracle(reopened.dataset("docs"), oracle, rng)
+    reopened.close()
+
+
+def test_manifest_with_retired_config_keys_still_opens(tmp_path):
+    """A root manifest naming config fields this build no longer has opens.
+
+    Manifests written while ``StoreConfig`` carried the device-latency knobs
+    still hold both keys (``RETIRED_CONFIG``); ``StoreConfig.from_dict`` ignores them, recovery
+    restores every document (components and WAL tail), and the next
+    manifest write drops them.
+    """
+    store = Datastore(make_config(tmp_path))
+    dataset = store.create_dataset("docs", layout="amax")
+    dataset.create_secondary_index("score", INDEX_PATH)
+    rng = seeded_rng(5)
+    oracle: dict = {}
+    run_workload(dataset, oracle, rng, operations=80)
+    store.checkpoint()
+    run_workload(dataset, oracle, rng, operations=20)  # an unflushed WAL tail
+    del store, dataset
+
+    path = tmp_path / DATASTORE_MANIFEST
+    manifest = json.loads(path.read_text())
+    manifest["config"].update(RETIRED_CONFIG)
+    path.write_text(json.dumps(manifest))
+
+    reopened = Datastore.open(str(tmp_path))
+    assert reopened.last_recovery.wal_records_replayed > 0
+    verify_against_oracle(reopened.dataset("docs"), oracle, rng)
+    reopened.checkpoint()
+    config = json.loads(path.read_text())["config"]
+    assert not set(RETIRED_CONFIG) & set(config)
     reopened.close()
 
 
