@@ -4,7 +4,7 @@ Expected shape (paper §6.3):
 
 * ``cell``    — ingestion is bottlenecked by the transaction log buffer, so
   the four layouts ingest at roughly the same rate.  This engine does not
-  model that §6.3.1 log-buffer bottleneck (its log is one buffered file
+  model that §6.3.1 log-buffer bottleneck (its log is one flushed file
   append per record), so only the real per-layout times are reported and
   checked, like every other dataset's;
 * ``sensors`` — Open is the slowest (recursive record construction); VB and the

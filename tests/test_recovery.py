@@ -198,9 +198,9 @@ def test_manifest_with_retired_config_keys_still_opens(tmp_path):
     """A root manifest naming config fields this build no longer has opens.
 
     Manifests written while ``StoreConfig`` carried the device-latency knobs
-    still hold both keys (``RETIRED_CONFIG``); ``StoreConfig.from_dict`` ignores them, recovery
-    restores every document (components and WAL tail), and the next
-    manifest write drops them.
+    still hold both keys (``RETIRED_CONFIG``); ``StoreConfig.from_dict``
+    ignores them, recovery restores every document (components and WAL
+    tail), and the next manifest write drops them.
     """
     store = Datastore(make_config(tmp_path))
     dataset = store.create_dataset("docs", layout="amax")
