@@ -786,12 +786,10 @@ def _batch_group_by(batches: Iterable[ColumnBatch], node: GroupByNode) -> List[d
             None if expression is None else expression.evaluate_batch(batch)
             for _, _, expression in node.aggregates
         ]
-        for index in range(batch.length):
-            aggregators = table.state(
-                tuple(vector[index] for vector in key_vectors)
-            )
-            for aggregator, vector in zip(aggregators, agg_vectors):
-                aggregator.add(None if vector is None else vector[index])
+        # zip(*states): per aggregate, every row's group aggregator.
+        states = table.states(key_vectors, batch.length)
+        for aggregators, vector in zip(zip(*states), agg_vectors):
+            kernels.aggregate_add_grouped(aggregators, vector)
     return table.rows(
         [name for name, _ in node.keys],
         lambda aggregators: aggregate_results(node.aggregates, aggregators),

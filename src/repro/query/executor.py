@@ -17,6 +17,7 @@ executed by the shared engine code below.
 
 from __future__ import annotations
 
+import heapq
 import time
 from typing import Dict, Iterable, Iterator, List, Optional
 
@@ -405,9 +406,10 @@ class GroupTable:
 
     Key tuples with equal :func:`_hashable` forms are one group, shown as its
     minimum member under :func:`rep_ranks` (see :func:`_rep_rank` for why).
-    The interpreted GROUP BY feeds it rows, the batch GROUP BY vector slots,
-    the shard coordinator's merge per-shard partial rows; each keeps its own
-    per-group state (``new_state()``) and says how to finish it.
+    The interpreted GROUP BY feeds it rows (:meth:`state`), the batch GROUP
+    BY key vectors and the shard coordinator's merge each shard's partial
+    rows as key vectors (:meth:`states`); each keeps its own per-group state
+    (``new_state()``) and says how to finish it.
     """
 
     def __init__(self, new_state) -> None:
@@ -426,6 +428,31 @@ class GroupTable:
             entry[0] = raw
             entry[1] = rank
         return entry[2]
+
+    def states(self, key_vectors: List[list], length: int) -> list:
+        """``[state(raw) for each row's raw key tuple]`` over whole key vectors.
+
+        When every vector holds one plain type (:data:`_PLAIN_KEY_TYPES`), a
+        raw key tuple is its own :func:`_hashable` form and all rows share one
+        rank, so a row costs one dict probe.  Any other batch goes row by row
+        through :meth:`state`.
+        """
+        rows = zip(*key_vectors) if key_vectors else [()] * length
+        if not length or not all(map(_plain_vector, key_vectors)):
+            return [self.state(raw) for raw in rows]
+        groups = self._groups
+        new_state = self._new_state
+        rank = rep_ranks(tuple(vector[0] for vector in key_vectors))
+        result = []
+        for raw in rows:
+            entry = groups.get(raw)
+            if entry is None:
+                entry = groups[raw] = [raw, rank, new_state()]
+            elif rank < entry[1]:
+                entry[0] = raw
+                entry[1] = rank
+            result.append(entry[2])
+        return result
 
     def rows(self, key_names: List[str], finish) -> List[dict]:
         """One output row per group, in first-seen order: the representative
@@ -463,6 +490,17 @@ def _run_group_by(rows: Iterable[dict], node: GroupByNode) -> List[dict]:
         [name for name, _ in node.keys],
         lambda aggregators: aggregate_results(node.aggregates, aggregators),
     )
+
+
+#: Key types whose values are their own :func:`_hashable` form and share one
+#: :func:`_rep_rank` (MISSING is excluded: it hashes as None).
+_PLAIN_KEY_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _plain_vector(vector: list) -> bool:
+    """True when every value of ``vector`` has the same plain key type."""
+    kinds = set(map(type, vector))
+    return len(kinds) == 1 and kinds <= _PLAIN_KEY_TYPES
 
 
 def _hashable(value):
@@ -577,7 +615,7 @@ def run_breakers(rows: Iterable[dict], breakers: List) -> List[dict]:
     tracing = current_trace() is not None
     current: Iterable[dict] = rows
     materialized: Optional[List[dict]] = None
-    for op in breakers:
+    for index, op in enumerate(breakers):
         started = time.perf_counter() if tracing else 0.0
         if isinstance(op, GroupByNode):
             materialized = _run_group_by(current, op)
@@ -586,11 +624,14 @@ def run_breakers(rows: Iterable[dict], breakers: List) -> List[dict]:
         elif isinstance(op, WindowNode):
             materialized = _run_window(current, op)
         elif isinstance(op, OrderByNode):
-            materialized = sorted(
-                list(current),
-                key=lambda row: _sort_key(row.get(op.key, MISSING)),
-                reverse=op.descending,
+            # A LIMIT right after cuts here; its own slice is then a no-op.
+            following = breakers[index + 1 : index + 2]
+            limit = (
+                following[0].count
+                if following and isinstance(following[0], LimitNode)
+                else None
             )
+            materialized = _order_by(list(current), op, limit)
         elif isinstance(op, LimitNode):
             materialized = list(current)[: op.count]
         elif isinstance(op, ProjectNode):
@@ -613,6 +654,30 @@ def run_breakers(rows: Iterable[dict], breakers: List) -> List[dict]:
     if materialized is None:
         materialized = [dict(row) for row in current]
     return materialized
+
+
+def _order_by(rows: List[dict], op: OrderByNode, limit: Optional[int]) -> List[dict]:
+    """The rows stably sorted by ``op``, cut to ``limit`` (None: no cut).
+
+    With a limit the first ``limit`` rows are selected with
+    :func:`heapq.nsmallest` / :func:`heapq.nlargest`, which Python documents
+    as equal to the stable sort's prefix — unless a sort value is a float
+    NaN, which orders inconsistently and so only the full sort reproduces.
+    """
+    values = [row.get(op.key, MISSING) for row in rows]
+    kinds = set(map(type, values))
+    # Plain numbers order as their (2, value) sort keys do.
+    keys = values if kinds <= {int, float} else list(map(_sort_key, values))
+    positions = range(len(rows))
+    if limit is not None and not (
+        float in kinds and any(value != value for value in values)
+    ):
+        select = heapq.nlargest if op.descending else heapq.nsmallest
+        order = select(limit, positions, key=keys.__getitem__)
+    else:
+        order = sorted(positions, key=keys.__getitem__, reverse=op.descending)
+        order = order[:limit]
+    return [rows[position] for position in order]
 
 
 def _sort_key(value):

@@ -33,7 +33,7 @@ matches the scalar path:
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .expressions import _COMPARE_OPS, compare_values
 
@@ -231,3 +231,53 @@ def aggregate_add_many(aggregator, values: list) -> None:
             return
     for value in values:
         aggregator.add(value)
+
+
+def aggregate_add_grouped(aggregators: Sequence, values: Optional[list]) -> None:
+    """Feed ``values[i]`` into ``aggregators[i]`` for every row ``i``.
+
+    The grouped counterpart of :func:`aggregate_add_many`: ``aggregators``
+    holds each row's group aggregator (one function, repeated per group), and
+    ``values`` is the aggregate's argument vector (None for ``COUNT(*)``,
+    which adds None per row).  For vectors of plain ints and floats, or of
+    strings, the loops below perform, per group and in row order, the same
+    operations as repeated ``add`` calls — ``min(current, value)`` is
+    ``value if value < current else current``, so NaN needs no special case
+    here — and any other vector goes value by value through ``add``.
+    """
+    if not aggregators:
+        return
+    function = aggregators[0].function
+    if function == "count":
+        for aggregator in aggregators:
+            aggregator.count += 1
+        return
+    if values is None:
+        return  # every other function skips None
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        if function not in ("min", "max"):
+            return  # the numeric functions skip strings
+    elif not kinds <= {int, float}:
+        for aggregator, value in zip(aggregators, values):
+            aggregator.add(value)
+        return
+    if function == "countv":
+        for aggregator in aggregators:
+            aggregator.count += 1
+    elif function in ("sum", "avg"):
+        for aggregator, value in zip(aggregators, values):
+            aggregator.count += 1
+            aggregator.total += value
+    elif function == "min":
+        for aggregator, value in zip(aggregators, values):
+            aggregator.count += 1
+            current = aggregator.minimum
+            if current is None or value < current:
+                aggregator.minimum = value
+    else:
+        for aggregator, value in zip(aggregators, values):
+            aggregator.count += 1
+            current = aggregator.maximum
+            if current is None or value > current:
+                aggregator.maximum = value

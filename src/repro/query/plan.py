@@ -440,6 +440,10 @@ class Query:
         return self
 
     def limit(self, count: int) -> "Query":
+        """Keep the first ``count`` rows; ``count`` is a non-negative int
+        (not a bool), the SQL++ parser's rule for ``LIMIT``."""
+        if type(count) is not int or count < 0:
+            raise QueryError(f"LIMIT needs a non-negative integer, not {count!r}")
         self._breakers.append(LimitNode(count))
         return self
 

@@ -378,6 +378,8 @@ def _merge_partials(function: str, partials: List[object]):
     """
     if function == "count":
         return sum(partials)
+    if len(partials) == 1:  # a group one shard holds: its partial is final
+        return partials[0]
     present = [value for value in partials if value is not None]
     if not present:
         return None
@@ -393,15 +395,17 @@ def _merge_partials(function: str, partials: List[object]):
     raise ValueError(f"unmergeable aggregate function {function!r}")
 
 
-def _finalize(merge: MergeAggregate, columns: Dict[str, List[object]]):
+def _finalize(merge: MergeAggregate, partials: List[dict]):
+    """One merged aggregate from a group's partial rows (one per shard)."""
     if merge.function == "avg":
         sum_column, count_column = merge.columns
-        count = sum(columns[count_column])
+        count = sum(row[count_column] for row in partials)
         if not count:
             return None
-        total = _merge_partials("sum", columns[sum_column])
+        total = _merge_partials("sum", [row[sum_column] for row in partials])
         return total / count
-    return _merge_partials(merge.function, columns[merge.columns[0]])
+    column = merge.columns[0]
+    return _merge_partials(merge.function, [row[column] for row in partials])
 
 
 def merge_rows(split: SplitPlan, shard_rows: List[List[dict]]) -> List[dict]:
@@ -422,30 +426,24 @@ def merge_rows(split: SplitPlan, shard_rows: List[List[dict]]) -> List[dict]:
             merged.extend(rows)
         return merged
     if split.kind == "aggregate":
-        columns: Dict[str, List[object]] = {}
-        for rows in shard_rows:
-            for row in rows:  # exactly one row per shard
-                for column, value in row.items():
-                    columns.setdefault(column, []).append(value)
-        return [
-            {merge.name: _finalize(merge, columns) for merge in split.aggregates}
-        ]
+        partials = [row for rows in shard_rows for row in rows]  # one per shard
+        return [{merge.name: _finalize(merge, partials) for merge in split.aggregates}]
     # groupby: merge partial groups by key.  Groups split across shards can
     # carry *different* raw representatives of one conflated key (1 / 1.0 /
     # True); the shared GroupTable picks the same minimum each shard's GROUP
     # BY did, so the merged representative is independent of shard arrival
     # order and equal to the single-process oracle's choice (min is
-    # associative).
-    table = GroupTable(dict)  # per group: partial column -> per-shard values
+    # associative).  Each shard's rows arrive as one batch of key vectors.
+    table = GroupTable(list)  # per group: its partial rows, in shard order
     for rows in shard_rows:
-        for row in rows:
-            columns = table.state(tuple(row[name] for name in split.key_names))
-            for merge in split.aggregates:
-                for column in merge.columns:
-                    columns.setdefault(column, []).append(row[column])
+        states = table.states(
+            [[row[name] for row in rows] for name in split.key_names], len(rows)
+        )
+        for partials, row in zip(states, rows):
+            partials.append(row)
     return table.rows(
         split.key_names,
-        lambda columns: {
-            merge.name: _finalize(merge, columns) for merge in split.aggregates
+        lambda partials: {
+            merge.name: _finalize(merge, partials) for merge in split.aggregates
         },
     )

@@ -222,6 +222,26 @@ class TestExecutors:
         # A tiny but valid size still returns every group.
         assert len(store.query(text, executor=executor, batch_size=1)) == 3
 
+    @pytest.mark.parametrize("count", [-1, True, False, 2.0, "3", None])
+    def test_bad_limit_rejected(self, count):
+        # limit(-1) used to drop the last row (rows[:-1]), limit(True) kept one.
+        with pytest.raises(QueryError, match="LIMIT"):
+            Query("events", "e").order_by("id").limit(count)
+
+    @pytest.mark.parametrize("executor", ["batch", "interpreted"])
+    def test_limit_zero_and_beyond_the_rows(self, store, executor):
+        query = Query("events", "e").select([("id", "id")]).order_by("id")
+        every = query.execute(store, executor=executor)
+        for count, expected in ((0, []), (3, every[:3]), (5000, every)):
+            rows = (
+                Query("events", "e")
+                .select([("id", "id")])
+                .order_by("id")
+                .limit(count)
+                .execute(store, executor=executor)
+            )
+            assert rows == expected
+
     def test_unknown_aggregate_rejected(self):
         with pytest.raises(QueryError):
             Query("events").aggregate([("x", "median", None)])

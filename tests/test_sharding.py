@@ -300,7 +300,10 @@ def test_group_identity_is_the_same_for_every_caller(members, expected):
     """One key table, three callers: the interpreted GROUP BY feeds it rows,
     the batch GROUP BY vector slots, the coordinator's merge shard partials.
     All must show a group by the same representative, whichever member
-    arrives first (compared by repr so 1 vs 1.0 vs True differences count)."""
+    arrives first (compared by repr so 1 vs 1.0 vs True differences count).
+    Batches of one row and shard lists of one member make every member its
+    own single-type key vector, so the batched fast path must agree too;
+    all members in one batch or list take the row-by-row fallback."""
     text = "SELECT g AS g, COUNT(*) AS n FROM t AS c GROUP BY c.g AS g;"
     split = _split(text)
     for ordered in (members, members[::-1]):
@@ -314,12 +317,12 @@ def test_group_identity_is_the_same_for_every_caller(members, expected):
                 executor: store.query(text, executor=executor)
                 for executor in ("interpreted", "batch")
             }
+            answers["batch of 1"] = store.query(text, executor="batch", batch_size=1)
         finally:
             store.close()
-        answers["merge"] = merge_rows(
-            split,
-            [[{"g": None if member is MISSING else member, "n": 1}] for member in ordered],
-        )
+        partials = [{"g": None if m is MISSING else m, "n": 1} for m in ordered]
+        answers["merge, one list"] = merge_rows(split, [partials])
+        answers["merge"] = merge_rows(split, [[partial] for partial in partials])
         for caller, rows in answers.items():
             assert sorted(map(repr, rows)) == sorted(map(repr, expected)), caller
 
