@@ -42,7 +42,6 @@ row-at-a-time executor stays untouched as the correctness oracle.
 
 from __future__ import annotations
 
-import threading
 import time
 from bisect import bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -151,8 +150,8 @@ class ScanReport:
     ``fallbacks`` holds, per partition that took the reconciling scan, the
     reason why — complete as soon as every partition has chosen, i.e. when
     :meth:`~repro.store.dataset.Dataset.scan_batches` returns.  The row
-    counters fill in as the direct partitions finish (on pool workers when
-    the scan is parallel, hence the lock; one addition per partition):
+    counters fill in as the direct partitions finish (one addition per
+    partition):
     ``overlay_rows`` live memtable records emitted as row batches,
     ``shadowed_rows`` decoded component records dropped because a newer
     source holds their key.
@@ -162,12 +161,10 @@ class ScanReport:
         self.fallbacks: List[str] = []
         self.overlay_rows = 0
         self.shadowed_rows = 0
-        self._lock = threading.Lock()
 
     def add_rows(self, overlay: int, shadowed: int) -> None:
-        with self._lock:
-            self.overlay_rows += overlay
-            self.shadowed_rows += shadowed
+        self.overlay_rows += overlay
+        self.shadowed_rows += shadowed
 
 
 class _Shadow:
@@ -663,17 +660,12 @@ def source_batches(
     source = plan.source
     if isinstance(source, DataScanNode):
         dataset = store.dataset(source.dataset)
-        pool = getattr(store, "scan_executor", None)
-        use_parallel = (
-            source.parallel if source.parallel is not None else pool is not None
-        )
         return dataset.scan_batches(
             source.variable,
             fields=source.fields,
             pushdown=source.pushdown,
             batch_size=batch_size,
             direct=plan_supports_direct(plan),
-            executor=pool if (use_parallel and pool is not None) else None,
             report=report,
         )
     return _binding_batches(source_rows(store, plan), batch_size)

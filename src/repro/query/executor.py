@@ -102,21 +102,7 @@ def source_rows(store, plan: QueryPlan) -> Iterator[dict]:
         # here either passed the pushed predicates or come from sources that
         # cannot pre-filter (memtable, row layouts) and are re-checked by the
         # residual FILTER operators downstream.
-        pool = getattr(store, "scan_executor", None)
-        use_parallel = (
-            source.parallel if source.parallel is not None else pool is not None
-        )
-        if use_parallel and pool is not None:
-            # Fan the per-partition scans out on the datastore's scan pool;
-            # every partition reads a snapshot pinned before the first row is
-            # yielded, and rows merge in completion order (hash-partitioned
-            # datasets have no cross-partition key order to preserve).
-            rows = dataset.parallel_scan(
-                source.fields, pushdown=source.pushdown, executor=pool
-            )
-        else:
-            rows = dataset.scan(source.fields, pushdown=source.pushdown)
-        for _, document in rows:
+        for _, document in dataset.scan(source.fields, pushdown=source.pushdown):
             yield {source.variable: document}
         return
     if isinstance(source, IndexScanNode):

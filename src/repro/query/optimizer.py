@@ -116,8 +116,7 @@ class AccessPathCandidate:
     actual_source_rows: Optional[int] = None
     actual_result_rows: Optional[int] = None
     #: Pages touched while running this candidate (device reads + buffer-cache
-    #: hits), aggregated across parallel scan-pool workers — the store's
-    #: ``io_snapshot()`` counts every worker thread's reads.
+    #: hits), from the store's ``io_snapshot()``.
     actual_pages_read: Optional[int] = None
 
     def describe(self) -> str:
@@ -531,9 +530,8 @@ def analyze_candidates(store, report: OptimizerReport, executor: str = "interpre
     ``actual_pages_read`` (pages touched: device reads plus buffer-cache
     hits) on each candidate, so ``Query.explain(store, analyze=True)`` can
     report estimated vs. actual cardinalities and I/O for the chosen *and*
-    the rejected paths.  The page delta is taken from the store's shared
-    device counters after the source is fully materialized, so reads issued
-    by parallel scan-pool workers are included rather than undercounted.
+    the rejected paths.  The page delta is taken from the store's device
+    counters after the source is fully materialized.
     """
     from .executor import prepare_plan, run_interpreted_pipeline, source_rows
 

@@ -35,10 +35,6 @@ class DataScanNode:
     #: :class:`~repro.query.pushdown.PushdownSpec` attached by the rewrite
     #: pass, or None when pushdown is disabled.
     pushdown: Optional[object] = None
-    #: Fan the scan out across partitions on the datastore's scan pool:
-    #: True forces it (when a pool exists), False pins the sequential path,
-    #: None (default) follows the datastore configuration.
-    parallel: Optional[bool] = None
 
 
 @dataclass
@@ -305,7 +301,6 @@ class Query:
         self._explicit_fields: Optional[List[str]] = None
         self._project_all = False
         self._force_scan = False
-        self._parallel: Optional[bool] = None
 
     # -- source --------------------------------------------------------------------------
     def use_index(self, index_name: str, low=None, high=None) -> "Query":
@@ -356,22 +351,6 @@ class Query:
         only the coordinator's operators touch.
         """
         self._project_all = True
-        return self
-
-    def parallel_scan(self, enabled: bool = True) -> "Query":
-        """Pin whether the scan fans out across partitions on the scan pool.
-
-        By default (unset) a full scan uses the datastore's configured
-        parallelism (``StoreConfig.parallel_scan_workers``); ``True`` forces
-        the fan-out when a pool exists, ``False`` forces the sequential path
-        regardless of configuration.  Results are identical either way —
-        partitions hold disjoint keys and each partition's scan reads a
-        pinned snapshot — only the execution strategy changes.
-
-        Returns:
-            This query, for chaining.
-        """
-        self._parallel = enabled
         return self
 
     # -- pipelining operators ----------------------------------------------------------------
@@ -528,9 +507,7 @@ class Query:
                 keys_only=False,
             )
         else:
-            source = DataScanNode(
-                self.dataset_name, self.variable, fields=fields, parallel=self._parallel
-            )
+            source = DataScanNode(self.dataset_name, self.variable, fields=fields)
         plan = QueryPlan(source, list(self._pipeline), list(self._breakers))
         if pushdown and isinstance(source, DataScanNode):
             # Imported lazily to avoid a module cycle (pushdown needs the plan
@@ -650,7 +627,6 @@ class Query:
         swapped._count_only = self._count_only
         swapped._project_all = self._project_all
         swapped._force_scan = self._force_scan
-        swapped._parallel = self._parallel
         return swapped
 
     def execute(

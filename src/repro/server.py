@@ -69,14 +69,18 @@ def _config_overrides(text: str) -> dict:
     return overrides
 
 
-def _engine_store(args: argparse.Namespace) -> Datastore:
+def _store_overrides(args: argparse.Namespace) -> dict:
+    """``--config-json`` with the dedicated flags applied on top."""
     overrides = dict(args.config_json or {})
     if args.partitions_per_node is not None:
         overrides["partitions_per_node"] = args.partitions_per_node
-    if args.parallel_scan_workers is not None:
-        overrides["parallel_scan_workers"] = args.parallel_scan_workers
     if args.background_workers is not None:
         overrides["background_workers"] = args.background_workers
+    return overrides
+
+
+def _engine_store(args: argparse.Namespace) -> Datastore:
+    overrides = _store_overrides(args)
     if args.store:
         if os.path.exists(os.path.join(args.store, DATASTORE_MANIFEST)):
             # Existing directory: recover; config comes from its manifest.
@@ -222,18 +226,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--partitions-per-node", type=int, default=None, help="store partition count"
     )
     parser.add_argument(
-        "--parallel-scan-workers",
-        type=int,
-        default=None,
-        help="scan-pool threads per shard store",
-    )
-    parser.add_argument(
         "--background-workers",
         type=int,
         default=None,
         help="background flush/merge threads per shard store",
     )
     args = parser.parse_args(argv)
+    overrides = _store_overrides(args)
+    try:
+        StoreConfig(**overrides).validate()
+    except (TypeError, ValueError) as exc:
+        parser.error(
+            f"invalid store config from --config-json and flags {overrides}: {exc}"
+        )
     try:
         asyncio.run(_serve(args))
     except KeyboardInterrupt:

@@ -3,7 +3,7 @@
 The paper's whole workload is written in SQL++; this package lets every one
 of those queries be stated in its original declarative form and still flow
 through the engine's existing machinery (pushdown, the cost-based optimizer,
-both executors, parallel scans), because lowering targets the same
+both executors), because lowering targets the same
 :class:`~repro.query.plan.Query` builder a user would call by hand.
 
 Entry points:

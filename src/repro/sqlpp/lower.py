@@ -3,10 +3,10 @@
 The compiled query is a thin wrapper around the *same* ``Query`` object a
 user would build by hand, so every parsed query flows unchanged through
 pushdown (:mod:`repro.query.pushdown`), cost-based access-path selection
-(:mod:`repro.query.optimizer`), both executors, and parallel scans.  Clause
-order becomes pipeline order; GROUP BY aggregates come from the SELECT list
-(as in SQL++), and a trailing PROJECT is added only when the SELECT list does
-not match the grouped row shape exactly.
+(:mod:`repro.query.optimizer`), and both executors.  Clause order becomes
+pipeline order; GROUP BY aggregates come from the SELECT list (as in SQL++),
+and a trailing PROJECT is added only when the SELECT list does not match the
+grouped row shape exactly.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ The cache serves two roles in the reproduction, mirroring §2.1.1 and §4.5.2:
   instead of using a dedicated memory budget (§4.5.2) — modelled here by the
   :meth:`confiscate` / :meth:`return_confiscated` budget accounting.
 
-The cache is shared by concurrent reader threads, background flush/merge
-workers, and parallel partition scans, so every structural operation takes
+The cache is shared by concurrent reader threads and background flush/merge
+workers, so every structural operation takes
 the internal lock (an ``OrderedDict`` cannot survive concurrent
 ``move_to_end`` / eviction).  Page *contents* are immutable bytes, safe to
 hand out without copying.

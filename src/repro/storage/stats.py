@@ -30,8 +30,8 @@ class IOStats:
     """Counters for page-level I/O, buffer-cache requests and log appends.
 
     The device keeps one instance per I/O source, shared by every thread
-    charged to that source (writers, background flush/merge workers,
-    parallel scans), so the increments are taken under a lock — Python's
+    charged to that source (writers, readers, background flush/merge
+    workers), so the increments are taken under a lock — Python's
     ``+=`` on an attribute is a read-modify-write that loses updates under
     contention.  The cache fields are filled from the buffer cache's own
     counts by ``Datastore.io_snapshot``.

@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
+from ..encoding.compression import get_codec
+from ..model.errors import EncodingError
+
 
 @dataclass
 class StoreConfig:
@@ -23,7 +26,8 @@ class StoreConfig:
     memory_component_budget: int = 4 * 1024 * 1024
     #: Buffer cache capacity in pages (shared by all partitions of a node).
     buffer_cache_pages: int = 2048
-    #: Page compression codec: "snappy", "zlib", or "none".
+    #: Page compression codec: "snappy", "zlib", "none", or any name added
+    #: with :func:`repro.encoding.compression.register_codec`.
     compression: str = "snappy"
     #: Number of node controllers (NCs).
     num_nodes: int = 1
@@ -52,9 +56,6 @@ class StoreConfig:
     #: Rotated-but-unflushed memtables a partition may accumulate before the
     #: writer blocks waiting for a background flush (memory backpressure).
     max_frozen_memtables: int = 4
-    #: Thread-pool size for fanning a scan out across partitions; 0 keeps
-    #: scans sequential on the caller's thread.
-    parallel_scan_workers: int = 0
     #: Observability master switch: the metrics registry and per-statement
     #: tracing (repro/obs).  Off turns every instrument into a no-op, which
     #: is what bench_observability.py compares against.
@@ -82,10 +83,16 @@ class StoreConfig:
             raise ValueError("at least one partition is required")
         if not 0.0 <= self.amax_empty_page_tolerance < 1.0:
             raise ValueError("amax_empty_page_tolerance must be in [0, 1)")
+        try:
+            get_codec(self.compression)
+        except EncodingError as exc:
+            raise ValueError(str(exc)) from None
+        if self.max_tolerable_components < 1:
+            raise ValueError("max_tolerable_components must be >= 1")
+        if self.max_concurrent_merges is not None and self.max_concurrent_merges < 1:
+            raise ValueError("max_concurrent_merges must be >= 1 (or None)")
         if self.background_workers < 0:
             raise ValueError("background_workers must be >= 0")
-        if self.parallel_scan_workers < 0:
-            raise ValueError("parallel_scan_workers must be >= 0")
         if self.flush_queue_capacity < 1:
             raise ValueError("flush_queue_capacity must be >= 1")
         if self.max_frozen_memtables < 1:

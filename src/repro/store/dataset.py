@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from concurrent.futures import as_completed
 from contextlib import contextmanager, nullcontext
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -417,36 +416,6 @@ class Dataset:
         ]
         return itertools.chain.from_iterable(scans)
 
-    def parallel_scan(
-        self,
-        fields: Optional[Sequence[str]] = None,
-        pushdown=None,
-        executor=None,
-    ) -> Iterator[Tuple[object, dict]]:
-        """Fan the reconciled scan out across partitions on a thread pool.
-
-        Each partition pins its snapshot up front (on the calling thread, so
-        the set of visible records is fixed before this returns an iterator),
-        then materializes on a pool worker; results stream back in completion
-        order — partition order was never meaningful, keys are hash-routed.
-        Falls back to the sequential :meth:`scan` without an executor or with
-        a single partition.
-        """
-        if executor is None or len(self.partitions) <= 1:
-            return self.scan(fields, pushdown=pushdown)
-        # Pin all snapshots (and start the workers) before returning: the
-        # scan observes one point in time however late it is consumed.
-        scans = [
-            partition.scan(fields, pushdown=pushdown) for partition in self.partitions
-        ]
-        futures = [executor.submit(list, scan) for scan in scans]
-
-        def _completion_order():
-            for future in as_completed(futures):
-                yield from future.result()
-
-        return _completion_order()
-
     def scan_batches(
         self,
         variable: str,
@@ -454,7 +423,6 @@ class Dataset:
         pushdown=None,
         batch_size: int = 1024,
         direct: bool = False,
-        executor=None,
         report=None,
     ) -> Iterator:
         """Scan every partition as column batches for the batch executor.
@@ -478,11 +446,7 @@ class Dataset:
         :class:`repro.query.batch_executor.ScanReport`) receives each
         fallback's reason — complete when this method returns: every
         partition chooses up front — and, as each direct partition ends, its
-        overlay and shadowed row counts.  With ``executor`` (a thread pool)
-        and multiple partitions, each partition's batches materialize on a
-        pool worker, but results stream back in *partition* order — unlike
-        :meth:`parallel_scan`'s completion order — so a given snapshot always
-        produces the same batch sequence.
+        overlay and shadowed row counts.
         """
         from ..query.batch_executor import partition_batches
 
@@ -500,17 +464,7 @@ class Dataset:
             )
             for partition, snapshot in zip(self.partitions, snapshots)
         ]
-        if executor is None or len(self.partitions) <= 1:
-            return itertools.chain.from_iterable(partition_iters)
-        futures = [
-            executor.submit(list, batches) for batches in partition_iters
-        ]
-
-        def _partition_order():
-            for future in futures:
-                yield from future.result()
-
-        return _partition_order()
+        return itertools.chain.from_iterable(partition_iters)
 
     def count(self) -> int:
         return sum(partition.count() for partition in self.partitions)

@@ -19,7 +19,6 @@ import itertools
 import os
 import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterator, List, Optional
@@ -117,13 +116,6 @@ class Datastore:
                     ),
                     event=event,
                 )
-        #: Thread pool for parallel multi-partition scans (None = sequential).
-        self.scan_executor: Optional[ThreadPoolExecutor] = None
-        if self.config.parallel_scan_workers > 0:
-            self.scan_executor = ThreadPoolExecutor(
-                max_workers=self.config.parallel_scan_workers,
-                thread_name_prefix="scan-worker",
-            )
         self.log_manager = LogManager(
             num_nodes=self.config.num_nodes,
             partitions_per_node=self.config.partitions_per_node,
@@ -285,23 +277,20 @@ class Datastore:
     def kill_background(self) -> None:
         """Crash-test hook: abandon background work like a dying process.
 
-        Queued flushes/merges never run, workers stop, and parallel-scan
-        threads are shut down without waiting — afterwards the process-level
-        objects can be dropped and the directory reopened with
-        :meth:`open`, which replays the WAL tail exactly as after a real
-        crash with in-flight background work.
+        Queued flushes/merges never run and the workers stop without waiting
+        — afterwards the process-level objects can be dropped and the
+        directory reopened with :meth:`open`, which replays the WAL tail
+        exactly as after a real crash with in-flight background work.
         """
         if self.scheduler is not None:
             self.scheduler.kill()
-        if self.scan_executor is not None:
-            self.scan_executor.shutdown(wait=False, cancel_futures=True)
 
     def close(self) -> None:
-        """Checkpoint (when durable), stop the pools, release file handles.
+        """Checkpoint (when durable), stop the background pool, release files.
 
         A closed store reopens via :meth:`open` with empty logs; a killed
         one reopens the same way, paying WAL replay for the tail instead.
-        The pools and file handles are torn down even when the checkpoint
+        The pool and file handles are torn down even when the checkpoint
         (or a background task error it surfaces) raises — the first error
         still propagates to the caller.
         """
@@ -313,8 +302,6 @@ class Datastore:
                 if self.scheduler is not None:
                     self.scheduler.shutdown(wait=True)
             finally:
-                if self.scan_executor is not None:
-                    self.scan_executor.shutdown(wait=True)
                 self.device.close()
 
     def __enter__(self) -> "Datastore":

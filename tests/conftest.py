@@ -32,10 +32,15 @@ SEED_ENV = "REPRO_TEST_SEED"
 #: rest of the tree for it).
 RETIRED_EXECUTOR = "codegen"
 
-#: The two deleted device-latency ``StoreConfig`` fields, with the values a
-#: manifest written before their removal may carry.  Spelled in pieces so the
-#: CI guard that keeps the simulated device deleted matches no test line.
-RETIRED_CONFIG = {"simulate_device" "_latency": True, "device_latency" "_s": 0.001}
+#: Deleted ``StoreConfig`` fields — the two device-latency ones and the scan
+#: pool size — with the values a manifest written before their removal may
+#: carry.  Spelled in pieces so the CI guards that keep the simulated device
+#: and the scan pool deleted match no test line.
+RETIRED_CONFIG = {
+    "simulate_device" "_latency": True,
+    "device_latency" "_s": 0.001,
+    "parallel_" "scan_workers": 2,
+}
 
 #: Seeds used by the currently running test (cleared per test by the autouse
 #: fixture below; tests run sequentially in one process, so a module global

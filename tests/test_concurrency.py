@@ -1,9 +1,9 @@
 """Randomized concurrent-workload stress suite and snapshot-isolation tests.
 
 The stress tests run N writer threads and M reader/query threads against one
-datastore with background flushing/merging and parallel partition scans
-enabled, then verify the final state *post-hoc* against a single-threaded
-oracle — the same differential-oracle pattern as ``tests/test_recovery.py``.
+datastore with background flushing/merging enabled, then verify the final
+state *post-hoc* against a single-threaded oracle — the same
+differential-oracle pattern as ``tests/test_recovery.py``.
 Writers own disjoint key ranges (key ``% N == writer id``), so the union of
 the per-writer journals is a well-defined oracle even though the thread
 interleaving is not.
@@ -60,7 +60,6 @@ def make_config(**overrides) -> StoreConfig:
         amax_max_records_per_leaf=64,
         buffer_cache_pages=128,
         background_workers=2,
-        parallel_scan_workers=2,
         max_frozen_memtables=4,
     )
     settings.update(overrides)
@@ -281,7 +280,7 @@ def test_stress_survives_checkpoint_and_reopen_when_durable(tmp_path):
 @pytest.mark.parametrize("layout", ALL_LAYOUTS)
 def test_scan_pinned_before_flush_and_merge_sees_consistent_snapshot(layout):
     """A long scan pinned before flush/merge returns exactly the pinned state."""
-    store = Datastore(make_config(background_workers=0, parallel_scan_workers=0))
+    store = Datastore(make_config(background_workers=0))
     dataset = store.create_dataset("docs", layout=layout)
     rng = seeded_rng(5)
     oracle_at_pin: dict = {}
@@ -331,7 +330,7 @@ def test_abandoned_scan_does_not_leak_pins():
     """
     import gc
 
-    store = Datastore(make_config(background_workers=0, parallel_scan_workers=0))
+    store = Datastore(make_config(background_workers=0))
     dataset = store.create_dataset("docs", layout="vector")
     rng = seeded_rng(13)
     for version in (1, 2):
@@ -374,35 +373,6 @@ def test_scan_pinned_across_background_flushes(tmp_path):
     assert all(
         document["version"] == 2 for _, document in dataset.scan()
     )
-    store.close()
-
-
-def test_parallel_scan_matches_sequential_scan():
-    """Fan-out across partitions returns the same rows as the serial path."""
-    store = Datastore(make_config(partitions_per_node=4, parallel_scan_workers=3))
-    dataset = store.create_dataset("docs", layout="apax")
-    rng = seeded_rng(3)
-    oracle = {}
-    for key in range(400):
-        document = make_document(rng, key, version=1)
-        dataset.insert(document)
-        oracle[key] = document
-    dataset.flush_all()
-
-    sequential = dict(dataset.scan())
-    parallel = dict(dataset.parallel_scan(executor=store.scan_executor))
-    assert sequential == parallel == oracle
-
-    # The query layer produces identical results through either path.
-    predicate = Field(Var("d"), "metrics.score") > 30
-    serial_rows = (
-        Query("docs", "d").where(predicate).count().parallel_scan(False).execute(store)
-    )
-    parallel_rows = (
-        Query("docs", "d").where(predicate).count().parallel_scan(True).execute(store)
-    )
-    default_rows = Query("docs", "d").where(predicate).count().execute(store)
-    assert serial_rows == parallel_rows == default_rows
     store.close()
 
 

@@ -359,20 +359,36 @@ def test_shell_connect_roundtrip(accounts_server):
         (json.dumps({**RETIRED_CONFIG, "page_size": 8192}), sorted(RETIRED_CONFIG)),
         ("[1, 2]", ["expected a JSON object"]),
         ("{not json", ["not valid JSON"]),
+        # Known fields whose values the engine would trip over later.
+        ('{"page_size": "x"}', ["page_size"]),
+        ('{"partitions_per_node": 0}', ["partitions_per_node", "at least one partition"]),
+        ('{"compression": "lz4"}', ["unknown compression codec 'lz4'"]),
     ],
 )
 def test_server_rejects_bad_config_json(capsys, monkeypatch, text, named):
-    """A bad ``--config-json`` is a usage error naming the culprit, not a crash."""
+    """A bad ``--config-json`` is a usage error naming the culprit, not a
+    crash or a server that fails at its first flush."""
+    error = _usage_error(capsys, monkeypatch, ["--config-json", text])
+    assert "--config-json" in error
+    assert all(part in error for part in named)
+    if "page_size" not in named:
+        assert "page_size" not in error  # only the culprit keys are named
+
+
+def test_server_rejects_bad_store_flag(capsys, monkeypatch):
+    """A store flag is checked with the config it joins, at parse time."""
+    error = _usage_error(capsys, monkeypatch, ["--partitions-per-node", "0"])
+    assert "partitions_per_node" in error and "at least one partition" in error
+
+
+def _usage_error(capsys, monkeypatch, flags) -> str:
     from repro import server
 
     def serve(args):  # reached only if the config was accepted
-        raise AssertionError(f"--config-json {text!r} was accepted")
+        raise AssertionError(f"{flags!r} was accepted")
 
     monkeypatch.setattr(server, "_serve", serve)
     with pytest.raises(SystemExit) as exit_info:
-        server.main(["--empty", "--config-json", text])
+        server.main(["--empty", *flags])
     assert exit_info.value.code == 2
-    error = capsys.readouterr().err
-    assert "--config-json" in error
-    assert all(part in error for part in named)
-    assert "page_size" not in error  # only the unknown keys are named
+    return capsys.readouterr().err

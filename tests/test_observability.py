@@ -471,7 +471,6 @@ def test_storage_series_render_the_counts_storage_owns(tmp_path):
         max_tolerable_components=2,
         buffer_cache_pages=2,
         background_workers=1,
-        parallel_scan_workers=2,
         storage_directory=str(tmp_path),
     ))
     try:

@@ -198,7 +198,8 @@ def test_manifest_with_retired_config_keys_still_opens(tmp_path):
     """A root manifest naming config fields this build no longer has opens.
 
     Manifests written while ``StoreConfig`` carried the device-latency knobs
-    still hold both keys (``RETIRED_CONFIG``); ``StoreConfig.from_dict``
+    or the scan pool size still hold those keys (``RETIRED_CONFIG``);
+    ``StoreConfig.from_dict``
     ignores them, recovery restores every document (components and WAL
     tail), and the next manifest write drops them.
     """

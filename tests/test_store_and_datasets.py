@@ -9,6 +9,7 @@ from repro.bench import load_dataset, run_query
 from repro.bench.queries import QUERY_SUITES
 from repro.core import DremelShredder, Schema
 from repro.datasets import DEFAULT_BENCH_SIZES, GENERATORS, make_generator
+from repro.encoding import compression
 from repro.index import PrimaryKeyIndex, SecondaryIndex
 from repro.model.errors import DatasetError
 from repro.storage import StorageDevice
@@ -32,6 +33,28 @@ class TestStoreConfig:
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             StoreConfig(amax_empty_page_tolerance=1.0).validate()
+
+    def test_unknown_codec_rejected(self, monkeypatch):
+        # Otherwise accepted, and a columnar flush fails after acknowledged writes.
+        with pytest.raises(ValueError, match="lz4"):
+            StoreConfig(compression="lz4").validate()
+        # A codec added through register_codec is valid by its name.
+        monkeypatch.setattr(compression, "_CODECS", dict(compression._CODECS))
+        lz4 = compression.NoopCodec()
+        lz4.name = "lz4"
+        compression.register_codec(lz4)
+        StoreConfig(compression="lz4").validate()
+
+    def test_zero_tolerable_components_rejected(self):
+        # Otherwise the merge policy picks components [0, 1] with only one.
+        with pytest.raises(ValueError, match="max_tolerable_components"):
+            StoreConfig(max_tolerable_components=0).validate()
+
+    def test_zero_concurrent_merges_rejected(self):
+        # Otherwise merging silently stops; None (half the partitions) stays valid.
+        with pytest.raises(ValueError, match="max_concurrent_merges"):
+            StoreConfig(max_concurrent_merges=0).validate()
+        StoreConfig(max_concurrent_merges=None).validate()
 
 
 class TestDatastore:
