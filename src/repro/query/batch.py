@@ -17,7 +17,11 @@ violation, guarded by :meth:`iter_rows`.  When that scan also performed the
 plan's pushed UNNEST (:class:`~repro.query.pushdown.UnnestBinding`), the batch
 is marked ``unnested``: its rows are array elements, the unnest variable is
 bound by its own (path) columns, and the executors skip the UNNEST operator
-for it — a row-backed batch of the same scan still runs it.
+for it — a row-backed batch of the same scan still runs it.  ``decided``
+carries the per-row results of the whole expressions that scan answered from
+an array's element runs (``is_array`` calls and ``SOME … SATISFIES``
+quantifiers, :class:`~repro.query.pushdown.ElementRuns`), keyed by the
+expression's ``id``; those expressions look themselves up there first.
 
 Field access resolves through :meth:`path_values`: an exact path column wins,
 then the longest prefix path column (descending the remainder with
@@ -37,7 +41,7 @@ from ..model.values import MISSING
 class ColumnBatch:
     """A fixed-length, column-wise slice of rows."""
 
-    __slots__ = ("length", "vars", "paths", "unnested")
+    __slots__ = ("length", "vars", "paths", "unnested", "decided")
 
     def __init__(
         self,
@@ -45,6 +49,7 @@ class ColumnBatch:
         vars: Optional[Dict[str, list]] = None,
         paths: Optional[Dict[Tuple[str, FieldPath], list]] = None,
         unnested: bool = False,
+        decided: Optional[Dict[int, list]] = None,
     ) -> None:
         self.length = length
         self.unnested = unnested
@@ -52,6 +57,7 @@ class ColumnBatch:
         self.paths: Dict[Tuple[str, FieldPath], list] = (
             paths if paths is not None else {}
         )
+        self.decided: Dict[int, list] = decided if decided is not None else {}
 
     # -- construction -----------------------------------------------------------------
     @classmethod
@@ -113,7 +119,7 @@ class ColumnBatch:
     # -- row-producing views ------------------------------------------------------------
     def iter_rows(self) -> Iterator[dict]:
         """Materialize one fresh binding dict per row (row-backed batches only)."""
-        if self.paths:
+        if self.paths or self.decided:
             raise QueryError(
                 "cannot materialize rows from a column-direct batch; "
                 "the executor must keep direct plans vectorized end-to-end"
@@ -128,7 +134,7 @@ class ColumnBatch:
         """A batch with one variable column added/replaced (columns shared)."""
         vars = dict(self.vars)
         vars[name] = column
-        return ColumnBatch(self.length, vars, self.paths, self.unnested)
+        return ColumnBatch(self.length, vars, self.paths, self.unnested, self.decided)
 
     def take(
         self,
@@ -150,4 +156,8 @@ class ColumnBatch:
             key: [column[index] for index in indices]
             for key, column in self.paths.items()
         }
-        return ColumnBatch(len(indices), vars, paths, self.unnested)
+        decided = {
+            key: [column[index] for index in indices]
+            for key, column in self.decided.items()
+        }
+        return ColumnBatch(len(indices), vars, paths, self.unnested, decided)

@@ -12,10 +12,14 @@ instead of rows.  The source comes in two flavours:
   the array's definition levels give per-record element counts, the element
   paths become per-*element* value vectors keyed by the unnest variable, and
   the record vectors are fanned out by a row-index vector — such batches are
-  marked ``unnested`` and the pipeline skips the operator for them.
+  marked ``unnested`` and the pipeline skips the operator for them.  An
+  array read only through ``[*]`` paths, ``is_array`` or ``SOME …
+  SATISFIES`` (:class:`~repro.query.pushdown.ElementRuns`) is served from
+  the same delimiter rule: per-record lists, and the answers of those whole
+  expressions, handed over in the batch's ``decided`` vectors.
   Direct scans are taken whenever every component is columnar with the
   pruned paths flat — or, for the unnested array, singly repeated and
-  union-free — in its schema
+  union-free, or, for element runs, resolvable — in its schema
   (:func:`~repro.query.pushdown.schema_supports_direct`).  Newest-wins needs
   no merge: a component record is live iff it is not anti-matter and its key
   is in no *newer* source, so each component is scanned under a **shadow** —
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
+from itertools import accumulate, chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..columnar.base import ColumnarComponent
@@ -71,6 +76,7 @@ from .expressions import (
     Field,
     Literal,
     Or,
+    SomeSatisfies,
     Var,
     join_key,
     missing_to_none,
@@ -87,10 +93,17 @@ from .plan import (
     UnnestNode,
     collect_expressions,
 )
-from .pushdown import compile_predicates, schema_supports_direct, unnest_columns
+from .pushdown import (
+    compile_predicates,
+    quantifier_tails,
+    run_columns,
+    schema_supports_direct,
+    unnest_columns,
+)
 
 #: Expression types the direct (assembly-free) path can evaluate over path
-#: columns.  SomeSatisfies re-binds rows internally, so it forces row batches.
+#: columns.  SomeSatisfies re-binds rows internally: only the quantifiers the
+#: scan decides from element runs are direct-safe.
 _DIRECT_EXPRESSIONS = (Literal, Var, Field, Compare, And, Or, Call)
 
 
@@ -99,18 +112,23 @@ _DIRECT_EXPRESSIONS = (Literal, Var, Field, Compare, And, Or, Call)
 # ======================================================================================
 
 
-def expression_supports_direct(expression: Expression) -> bool:
-    """Can this expression evaluate over direct path columns (no row dicts)?"""
+def expression_supports_direct(expression: Expression, decided=frozenset()) -> bool:
+    """Can this expression evaluate over direct path columns (no row dicts)?
+
+    ``decided`` holds the ``id`` of every quantifier the scan decides itself.
+    """
+    if isinstance(expression, SomeSatisfies):
+        return id(expression) in decided
     if isinstance(expression, Field):
-        return expression_supports_direct(expression.base)
+        return expression_supports_direct(expression.base, decided)
     if isinstance(expression, Compare):
         return expression_supports_direct(
-            expression.left
-        ) and expression_supports_direct(expression.right)
+            expression.left, decided
+        ) and expression_supports_direct(expression.right, decided)
     if isinstance(expression, (And, Or)):
-        return all(expression_supports_direct(o) for o in expression.operands)
+        return all(expression_supports_direct(o, decided) for o in expression.operands)
     if isinstance(expression, Call):
-        return all(expression_supports_direct(a) for a in expression.arguments)
+        return all(expression_supports_direct(a, decided) for a in expression.arguments)
     return isinstance(expression, _DIRECT_EXPRESSIONS)
 
 
@@ -121,7 +139,9 @@ def plan_supports_direct(plan: QueryPlan) -> bool:
     scan variable is never consumed whole), no rebinding of the scan
     variable, direct-safe expressions everywhere, and a first breaker that
     consumes batches without materializing binding rows (GROUP BY, AGGREGATE,
-    or PROJECT) — ORDER BY/LIMIT-first plans keep row batches.
+    or PROJECT) — ORDER BY/LIMIT-first plans keep row batches.  A
+    ``SOME … SATISFIES`` is direct-safe when the spec's element runs decide
+    it and its body is direct-safe over the element columns.
     """
     source = plan.source
     if not isinstance(source, DataScanNode):
@@ -138,8 +158,14 @@ def plan_supports_direct(plan: QueryPlan) -> bool:
         return False
     if not isinstance(plan.breakers[0], (GroupByNode, AggregateNode, ProjectNode)):
         return False
+    decided = frozenset(
+        id(quantifier)
+        for run in spec.runs
+        for quantifier in run.quantifiers
+        if expression_supports_direct(quantifier.predicate)
+    )
     return all(
-        expression_supports_direct(expression)
+        expression_supports_direct(expression, decided)
         for expression in collect_expressions(plan.pipeline, plan.breakers)
     )
 
@@ -228,14 +254,17 @@ def _direct_components(
     The direct scan reconciles by key membership (:class:`_Shadow`), so what
     is left to rule out is data the column streams cannot serve: ``layout``
     (a row-major component) or ``schema`` (a pruned path that is not flat —
-    or, for the unnested array, not singly repeated and union-free — in some
-    component's schema).
+    or, for the unnested array, not singly repeated and union-free, or, for
+    element runs, not resolvable by :func:`~repro.query.pushdown.run_columns`
+    — in some component's schema).
     """
     components: List[ColumnarComponent] = []
     for component in snapshot.components:
         if not isinstance(component, ColumnarComponent):
             return None, "layout"
-        if not schema_supports_direct(component.schema, spec.paths, spec.unnest):
+        if not schema_supports_direct(
+            component.schema, spec.paths, spec.unnest, spec.runs
+        ):
             return None, "schema"
         metadata = component.metadata
         if metadata.record_count and metadata.min_key is not None:
@@ -396,14 +425,16 @@ def _component_batches(
     Record paths become one value per record (:func:`_path_vector`); with a
     binding, element paths become one value per array element
     (:func:`_element_vector`) and the record paths are fanned out to the
-    elements by a row-index vector.  Pushed predicates, anti-matter, the
-    ``shadows`` (key containers of newer sources: a record found in one is
-    superseded, and counted in ``shadowed``) and the fan-out all end up in
-    the same two selections — ``rows`` into the record vectors, ``elements``
-    into the element vectors — applied by one gather.  Min/max pruning skips
-    a group whatever the shadows say: the records it would hide are not being
-    emitted, and the group's own keys shadow older components through
-    :class:`_Shadow`, not through here.
+    elements by a row-index vector.  The spec's element runs add their list
+    paths and decided expressions as record vectors (:func:`_run_vectors`).
+    Pushed predicates, anti-matter, the ``shadows`` (key containers of newer
+    sources: a record found in one is superseded, and counted in
+    ``shadowed``) and the fan-out all end up in the same two selections —
+    ``rows`` into the record vectors, ``elements`` into the element vectors —
+    applied by one gather.  Min/max pruning skips a group whatever the
+    shadows say: the records it would hide are not being emitted, and the
+    group's own keys shadow older components through :class:`_Shadow`, not
+    through here.
     """
     schema = component.schema
     compiled = (
@@ -422,6 +453,7 @@ def _component_batches(
             (column for column in element_columns.values() if column is not None),
             anchor,
         )
+    runs = [(run, run_columns(schema, run)) for run in spec.runs]
     value_columns: Dict[FieldPath, list] = {
         path: [
             column
@@ -429,7 +461,8 @@ def _component_batches(
             if field_name_steps(column.path) == tuple(path.steps)
         ]
         for path in spec.paths
-        if unnest is None or path != unnest.array
+        if (unnest is None or path != unnest.array)
+        and not any(run.covers(path) for run in spec.runs)
     }
     pk_column = schema.pk_column
     needs_keys = any(
@@ -447,6 +480,11 @@ def _component_batches(
     for column in (counted, *element_columns.values()):
         if column is not None:
             needed[column.column_id] = column
+    for _, columns in runs:
+        if columns.anchor is not None:
+            tails = chain(*columns.tails.values())
+            for column in (columns.counted, *columns.probes, *tails):
+                needed[column.column_id] = column
     shadowed_groups = (
         _groups_holding_keys(component.groups, shadows) if shadows else ()
     )
@@ -469,10 +507,11 @@ def _component_batches(
         # ``flags``: the records that are dead on arrival — anti-matter, or
         # superseded by a newer source.  Decided before any predicate looks.
         flags: Optional[List[bool]] = None
+        antimatter: Optional[List[bool]] = None  # None: no anti-matter here
         if pk_column.column_id in streams:
             pk_defs, keys = streams[pk_column.column_id]
             if needs_flags:
-                flags = [definition_level == 0 for definition_level in pk_defs]
+                flags = antimatter = [level == 0 for level in pk_defs]
             if needs_shadow:
                 live_before = record_count - (sum(flags) if flags else 0)
                 for shadow in shadows:
@@ -500,19 +539,14 @@ def _component_batches(
                 if (passes is None or passes[index])
                 and (flags is None or not flags[index])
             ]
+        records = rows  # before the UNNEST fan-out below
         # ``elements``: the element index behind each output row (None = all).
         elements: Optional[List[int]] = None
         counts: List[int] = []
         if counted is not None:
-            counts, absent = _element_counts(streams[counted.column_id][0], counted)
-            if counted is not anchor and any(
-                flags is None or not flags[index] for index in absent
-            ):
-                # A live record reads "no array" in this column: either it
-                # has none, or the column was inferred mid-flush and
-                # back-filled over it (§3.2.2).  Only the anchor can tell.
-                streams.update(group.read_columns([anchor]))
-                counts, _ = _element_counts(streams[anchor.column_id][0], anchor)
+            counts, _, empty = _trusted_runs(counted, anchor, group, streams, antimatter)
+            for index in empty:  # a union-free array: the lone entry is ``[]``
+                counts[index] = 0
             element_rows = [
                 index for index, count in enumerate(counts) for _ in range(count)
             ]
@@ -537,6 +571,17 @@ def _component_batches(
             columns_data[(variable, path)] = (
                 vector if rows is None else kernels.gather(vector, rows)
             )
+        decided: Dict[int, list] = {}
+        for run, columns in runs:
+            lists, answers = _run_vectors(
+                run, columns, group, streams, antimatter, records, record_count
+            )
+            for path, vector in lists.items():
+                columns_data[(variable, path)] = (
+                    vector if rows is None else kernels.gather(vector, rows)
+                )
+            for key, vector in answers.items():
+                decided[key] = vector if rows is None else kernels.gather(vector, rows)
         variables_data: Dict[str, list] = {}
         for path, column in element_columns.items():
             vector = _element_vector(column, streams, counts)
@@ -553,6 +598,7 @@ def _component_batches(
                 {name: column[start:end] for name, column in variables_data.items()},
                 {key: column[start:end] for key, column in columns_data.items()},
                 unnested=unnest is not None,
+                decided={key: column[start:end] for key, column in decided.items()},
             )
 
 
@@ -592,38 +638,61 @@ def _place_values(column, defs, values, vector: list) -> None:
                 value_index += 1
 
 
-def _element_counts(defs, column) -> Tuple[List[int], List[int]]:
-    """Per-record element counts of a column under a single-level array, and
-    the indices of the records that show no array at all.
+def _element_runs(defs, column) -> Tuple[List[int], List[int], List[int]]:
+    """Per-record run lengths of a column under a single-level array, the
+    indices of the records that show no array at all, and those whose run is
+    one entry *at* the array's level.
 
     The delimiter rule of :meth:`~repro.core.columns.ColumnCursor.next_record`,
     specialised to ``array_count == 1``: a record whose first entry lies below
-    the array's level has no array and contributes that single entry;
-    otherwise its entries run up to the record-end delimiter (the next
-    definition level 0 — element entries all lie above the array's level),
-    and a first entry *at* the array's level marks an empty array.
+    the array's level has no array and contributes that single entry (run
+    length 0); otherwise its entries run up to the record-end delimiter (the
+    next definition level 0 — element entries all lie at or above the
+    array's level), one per element.  An empty array leaves one entry at the
+    array's level; so does a one-element array whose element takes another
+    branch of a union element type than the column's.
     """
     array_level = column.outer_array_level
-    counts: List[int] = []
+    runs: List[int] = []
     absent: List[int] = []
+    lone: List[int] = []
     position = 0
     end = len(defs)
     while position < end:
         first = defs[position]
         if first < array_level:
-            absent.append(len(counts))
-            counts.append(0)
+            absent.append(len(runs))
+            runs.append(0)
             position += 1
         else:
             stop = defs.index(0, position + 1)
-            counts.append(stop - position if first > array_level else 0)
+            if first == array_level and stop == position + 1:
+                lone.append(len(runs))
+            runs.append(stop - position)
             position = stop + 1
-    return counts, absent
+    return runs, absent, lone
 
 
-def _element_vector(column, streams, counts: List[int]) -> list:
+def _trusted_runs(counted, anchor, group, streams, antimatter):
+    """:func:`_element_runs` of the array, off ``counted`` — or off the anchor
+    when ``counted`` shows a record without the array that is not anti-matter:
+    either it has none, or the column was inferred mid-flush and back-filled
+    over it (§3.2.2).  Only the anchor can tell."""
+    runs = _element_runs(streams[counted.column_id][0], counted)
+    if counted is not anchor and any(
+        antimatter is None or not antimatter[index] for index in runs[1]
+    ):
+        if anchor.column_id not in streams:
+            streams.update(group.read_columns([anchor]))
+        runs = _element_runs(streams[anchor.column_id][0], anchor)
+    return runs
+
+
+def _element_vector(column, streams, counts: List[int], entries: bool = False) -> list:
     """One value per array element for an element path (the repeated sibling
-    of :func:`_path_vector`); ``counts`` are the exact per-record counts."""
+    of :func:`_path_vector`); ``counts`` are the exact per-record counts.
+    With ``entries`` they are run lengths (:func:`_element_runs`) instead, and
+    the vector has one slot per run entry — MISSING for an empty array's."""
     total = sum(counts)
     if column is None:
         return [MISSING] * total
@@ -631,22 +700,117 @@ def _element_vector(column, streams, counts: List[int]) -> list:
     if column.type_tag != TYPE_NULL and len(values) == total:
         return list(values)  # every element present: the value stream itself
     array_level = column.outer_array_level
-    element_defs = [level for level in defs if level > array_level]
+    floor = array_level if entries else array_level + 1
+    element_defs = [level for level in defs if level >= floor]
     vector = [MISSING] * len(element_defs)
     _place_values(column, element_defs, values, vector)
     if len(vector) == total:
         return vector
     # The column was inferred mid-flush: its back-filled records read "no
     # array" where the anchor counted elements, and those elements lack it.
+    own, _, lone = _element_runs(defs, column)
+    if not entries:
+        for index in lone:
+            own[index] = 0
     aligned: list = []
     position = 0
-    for count, own in zip(counts, _element_counts(defs, column)[0]):
-        if own == count:
+    for count, length in zip(counts, own):
+        if length == count:
             aligned.extend(vector[position:position + count])
         else:
             aligned.extend([MISSING] * count)
-        position += own
+        position += length
     return aligned
+
+
+def _run_vectors(run, columns, group, streams, antimatter, records, record_count):
+    """The record vectors one leaf group's element runs answer with: list
+    paths (``path -> vector``) and decided expressions (``id -> vector``).
+
+    Only the entries of the selected ``records`` (None = all) matter.  A
+    record's list is its run's values at the tail, MISSING ones dropped —
+    MISSING itself without an array; ``is_array`` is "has a run"; a
+    quantifier's body is evaluated once over the run entries of the selected
+    records (an element-level batch, MISSING kept so entries line up), and a
+    record is true if one of its elements gives True.  Empty arrays are
+    left out of that batch: their lone entry is no element.
+    """
+    lists: Dict[FieldPath, list] = {}
+    decided: Dict[int, list] = {}
+    if columns.anchor is None:  # no record of the component has the array
+        for tail in run.lists:
+            lists[run.list_path(tail)] = [MISSING] * record_count
+        for expression in run.checks + run.quantifiers:
+            decided[id(expression)] = [False] * record_count
+        return lists, decided
+    runs, absent, lone = _trusted_runs(
+        columns.counted, columns.anchor, group, streams, antimatter
+    )
+    missing = bytearray(record_count)
+    for index in absent:
+        missing[index] = 1
+    if run.checks:
+        present = [not flag for flag in missing]
+        for check in run.checks:
+            decided[id(check)] = present
+    offsets = list(accumulate(runs, initial=0))
+    vectors = {
+        tail: _tail_vector(tail_columns, streams, runs)
+        for tail, tail_columns in columns.tails.items()
+    }
+    for tail in run.lists:
+        vector = vectors[tail]
+        lists[run.list_path(tail)] = [
+            MISSING
+            if missing[index]
+            else [value for value in vector[start:stop] if value is not MISSING]
+            for index, (start, stop) in enumerate(zip(offsets, offsets[1:]))
+        ]
+    if run.quantifiers:
+        empty = set(lone)
+        for probe in columns.probes:
+            _, absent_there, lone_there = _element_runs(
+                streams[probe.column_id][0], probe
+            )
+            empty &= {*absent_there, *lone_there}
+        positions: List[int] = []
+        owners: List[int] = []
+        for index in range(record_count) if records is None else records:
+            length = runs[index]
+            if length and index not in empty:
+                positions.extend(range(offsets[index], offsets[index] + length))
+                owners.extend([index] * length)
+        for quantifier in run.quantifiers:
+            item = quantifier.item_var
+            element_vars: Dict[str, list] = {}
+            element_paths: Dict[Tuple[str, FieldPath], list] = {}
+            for tail in quantifier_tails(quantifier):
+                vector = kernels.gather(vectors[tail], positions)
+                if len(tail):
+                    element_paths[(item, tail)] = vector
+                else:
+                    element_vars[item] = vector
+            verdicts = quantifier.predicate.evaluate_batch(
+                ColumnBatch(len(positions), element_vars, element_paths)
+            )
+            verdict = [False] * record_count
+            for owner, value in zip(owners, verdicts):
+                if value is True:
+                    verdict[owner] = True
+            decided[id(quantifier)] = verdict
+    return lists, decided
+
+
+def _tail_vector(columns, streams, runs: List[int]) -> list:
+    """One value per run entry for an element sub-path, merged across the
+    atomic columns of a union (an entry holds a value in one of them at most)."""
+    if not columns:
+        return [MISSING] * sum(runs)
+    vector = _element_vector(columns[0], streams, runs, entries=True)
+    for column in columns[1:]:
+        other = _element_vector(column, streams, runs, entries=True)
+        vector = [b if a is MISSING else a for a, b in zip(vector, other)]
+    return vector
 
 
 def source_batches(

@@ -528,6 +528,9 @@ class Call(Expression):
         return FUNCTIONS[self.function](*values)
 
     def evaluate_batch(self, batch) -> list:
+        decided = batch.decided.get(id(self))
+        if decided is not None:
+            return decided  # an ``is_array`` the direct scan answered
         function = FUNCTIONS[self.function]
         if not self.arguments:
             return [function() for _ in range(batch.length)]
@@ -581,6 +584,12 @@ class SomeSatisfies(Expression):
             if self.predicate.evaluate(inner) is True:
                 return True
         return False
+
+    def evaluate_batch(self, batch) -> list:
+        decided = batch.decided.get(id(self))
+        if decided is not None:
+            return decided  # the direct scan decided it from element runs
+        return super().evaluate_batch(batch)
 
     def referenced_variables(self) -> set:
         return self.array.referenced_variables() | (

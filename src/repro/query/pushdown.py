@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.schema import (
     ARRAY_PATH_STEP,
+    ArrayNode,
     AtomicNode,
     ColumnInfo,
     ObjectNode,
@@ -64,7 +65,18 @@ from ..core.schema import (
 )
 from ..model.path import FieldPath
 from ..model.values import TYPE_BOOLEAN, TYPE_DOUBLE, TYPE_INT64, TYPE_NULL, TYPE_STRING
-from .expressions import _COMPARE_OPS, And, Compare, Expression, Field, Literal, Var, compare_values
+from .expressions import (
+    _COMPARE_OPS,
+    And,
+    Call,
+    Compare,
+    Expression,
+    Field,
+    Literal,
+    SomeSatisfies,
+    Var,
+    compare_values,
+)
 from .plan import (
     AssignNode,
     DataScanNode,
@@ -145,6 +157,70 @@ class UnnestBinding:
         return FieldPath(self.array.steps + (ARRAY_PATH_STEP,) + element.steps)
 
 
+@dataclass(frozen=True, eq=False)
+class ElementRuns:
+    """An array the direct scan serves from its element runs: ``$v.array``.
+
+    ``array`` is an array-free path on the scan variable that the plan reads
+    only in three ways, each answered from the definition levels of the
+    array's element columns without assembling anything:
+
+    * ``lists`` — the tails of ``Field($v, array[*].tail)``: a record's value
+      is the list of its elements' values at ``tail`` (MISSING ones dropped),
+      or MISSING when the record has no array;
+    * ``checks`` — ``is_array($v.array)`` calls: true where the record has an
+      array;
+    * ``quantifiers`` — ``SOME x IN $v.array SATISFIES p(x)``, where ``p``
+      reads nothing but ``x``, through array-free sub-paths: decided by
+      evaluating ``p`` once over the elements.
+
+    The reconciling scan never sees this refinement; ``paths`` still lists
+    the array (or its wildcard paths) for partial assembly.
+    """
+
+    array: FieldPath
+    lists: Tuple[FieldPath, ...] = ()
+    checks: Tuple[Expression, ...] = ()
+    quantifiers: Tuple[SomeSatisfies, ...] = ()
+
+    def list_path(self, tail: FieldPath) -> FieldPath:
+        """A list tail spelled from the scan variable: ``tags[*].text``."""
+        return FieldPath(self.array.steps + (ARRAY_PATH_STEP,) + tail.steps)
+
+    def covers(self, path: FieldPath) -> bool:
+        """Is ``path`` (a pruned scan path) served by these runs?"""
+        steps = self.array.steps
+        return field_name_steps(path.steps)[: len(steps)] == steps
+
+    def tails(self) -> List[FieldPath]:
+        """Every element sub-path the runs read (the empty path: the element)."""
+        tails = list(self.lists)
+        for quantifier in self.quantifiers:
+            tails.extend(quantifier_tails(quantifier))
+        return list(dict.fromkeys(tails))
+
+    def describe(self) -> str:
+        parts = ["is_array"] if self.checks else []
+        parts.extend(
+            str(FieldPath((ARRAY_PATH_STEP,) + tail.steps)) for tail in self.lists
+        )
+        for quantifier in self.quantifiers:
+            tails = ", ".join(str(tail) or "*" for tail in quantifier_tails(quantifier))
+            parts.append(f"some ${quantifier.item_var}: [{tails}]")
+        return f"{self.array}(" + "; ".join(parts) + ")"
+
+
+def quantifier_tails(quantifier: SomeSatisfies) -> List[FieldPath]:
+    """The element sub-paths a quantifier's body reads (the empty path: the
+    element itself, for a bare use of the item variable)."""
+    item = quantifier.item_var
+    body = quantifier.predicate
+    tails = [path for variable, path in body.referenced_paths() if variable == item]
+    if item in body.referenced_bare_variables():
+        tails.insert(0, FieldPath(()))
+    return list(dict.fromkeys(tails))
+
+
 @dataclass
 class PushdownSpec:
     """What a columnar scan may exploit: pruned paths + pushed predicates.
@@ -156,13 +232,16 @@ class PushdownSpec:
     ``unnest`` refines an array path of ``paths`` further, for the direct scan
     only: the element sub-paths the plan actually reads (the reconciling scan
     keeps assembling the whole array — partial assembly of a heterogeneous
-    array from a pruned column set is not exact).
+    array from a pruned column set is not exact).  ``runs`` are the same kind
+    of direct-only refinement for arrays read through wildcard paths,
+    ``is_array`` or ``SOME … SATISFIES`` (:class:`ElementRuns`).
     """
 
     fields: Optional[List[str]] = None
     paths: Optional[List[FieldPath]] = None
     predicates: List[ColumnPredicate] = dataclass_field(default_factory=list)
     unnest: Optional[UnnestBinding] = None
+    runs: Tuple[ElementRuns, ...] = ()
 
     def describe(self) -> str:
         parts = []
@@ -181,6 +260,8 @@ class PushdownSpec:
                     + ", ".join(str(unnest.element_path(e)) for e in unnest.elements)
                     + "]"
                 )
+        if self.runs:
+            parts.append("runs=[" + ", ".join(run.describe() for run in self.runs) + "]")
         return "; ".join(parts) if parts else "none"
 
 
@@ -207,6 +288,7 @@ def attach_pushdown(plan: QueryPlan, prune_paths: bool = True) -> QueryPlan:
         paths=paths,
         predicates=_extract_predicates(plan, source.variable),
         unnest=None if paths is None else _unnest_binding(plan, source.variable),
+        runs=() if paths is None else _element_runs(plan, source.variable),
     )
     return plan
 
@@ -296,6 +378,113 @@ def _unnest_binding(plan: QueryPlan, variable: str) -> Optional[UnnestBinding]:
     return UnnestBinding(unnest.variable, array, tuple(elements))
 
 
+def _element_runs(plan: QueryPlan, variable: str) -> Tuple[ElementRuns, ...]:
+    """The arrays a direct scan may serve from element runs (see
+    :class:`ElementRuns`).
+
+    Every use of a path on the scan variable is classified; an array-free
+    path ``A`` qualifies when each use whose field names share a prefix with
+    ``A`` is ``is_array($v.A)``, a servable ``SOME … IN $v.A``, or
+    ``$v.A[*].tail`` with an array-free ``tail``.  Anything else there —
+    ``$v.A`` as a value, ``array_count($v.A)``, ``$v.A.x``, a second wildcard,
+    an UNNEST of it — needs the assembled array, and ``A`` is left alone.
+    """
+    uses: List[Tuple[str, FieldPath, Expression]] = []
+    for expression in collect_expressions(plan.pipeline, plan.breakers):
+        _collect_uses(expression, variable, uses)
+    candidates: List[Tuple[str, ...]] = []
+    for kind, path, _ in uses:
+        steps = path.steps
+        if kind == "field" and ARRAY_PATH_STEP in steps:
+            steps = steps[: steps.index(ARRAY_PATH_STEP)]
+        elif kind == "field":
+            continue
+        if steps and ARRAY_PATH_STEP not in steps and steps not in candidates:
+            candidates.append(steps)
+    runs: List[ElementRuns] = []
+    for steps in candidates:
+        depth = len(steps)
+        lists: List[FieldPath] = []
+        checks: List[Expression] = []
+        quantifiers: List[SomeSatisfies] = []
+        for kind, path, expression in uses:
+            names = field_name_steps(path.steps)
+            shared = min(len(names), depth)
+            if names[:shared] != steps[:shared]:
+                continue  # a path beside the array
+            if kind == "is_array" and path.steps == steps:
+                checks.append(expression)
+            elif kind == "some" and path.steps == steps:
+                quantifiers.append(expression)
+            elif (
+                kind == "field"
+                and path.steps[:depth] == steps
+                and path.steps[depth: depth + 1] == (ARRAY_PATH_STEP,)
+                and path.array_depth == 1
+            ):
+                lists.append(FieldPath(path.steps[depth + 1:]))
+            else:
+                break
+        else:
+            runs.append(
+                ElementRuns(
+                    FieldPath(steps),
+                    tuple(dict.fromkeys(lists)),
+                    tuple(checks),
+                    tuple(quantifiers),
+                )
+            )
+    return tuple(runs)
+
+
+def _collect_uses(
+    expression: Expression, variable: str, uses: List[Tuple[str, FieldPath, Expression]]
+) -> None:
+    """Append ``(kind, path, expression)`` for every use of a path on
+    ``variable`` inside ``expression``: ``is_array`` and ``some`` for the
+    shapes :class:`ElementRuns` serves, ``field`` for any other field access
+    (a bare use of the variable disables path pruning, and with it the runs)."""
+    if (
+        isinstance(expression, Call)
+        and expression.function == "is_array"
+        and len(expression.arguments) == 1
+        and _on_variable(expression.arguments[0], variable)
+    ):
+        uses.append(("is_array", expression.arguments[0].path, expression))
+        return
+    if (
+        isinstance(expression, SomeSatisfies)
+        and _on_variable(expression.array, variable)
+        and _servable(expression)
+    ):
+        uses.append(("some", expression.array.path, expression))
+        return
+    if _on_variable(expression, variable):
+        uses.append(("field", expression.path, expression))
+        return
+    for child in expression.children():
+        _collect_uses(child, variable, uses)
+
+
+def _on_variable(expression: Expression, variable: str) -> bool:
+    return (
+        isinstance(expression, Field)
+        and isinstance(expression.base, Var)
+        and expression.base.name == variable
+    )
+
+
+def _servable(quantifier: SomeSatisfies) -> bool:
+    """Does the body read nothing but the item, through array-free paths?"""
+    body = quantifier.predicate
+    item = quantifier.item_var
+    return body.referenced_variables() <= {item} and all(
+        path.array_depth == 0
+        for variable, path in body.referenced_paths()
+        if variable == item
+    )
+
+
 def _extract_predicates(plan: QueryPlan, variable: str) -> List[ColumnPredicate]:
     for op in plan.pipeline:
         if isinstance(op, (AssignNode, UnnestNode)) and op.variable == variable:
@@ -360,21 +549,28 @@ def _expand_union(node) -> List[object]:
     return [node]
 
 
+def _descend(nodes: List[object], steps: Sequence[str]) -> List[object]:
+    """The schema nodes that field-name ``steps`` reach from ``nodes``.
+
+    Only objects (and the object branch of a union) are descended: field
+    steps applied to arrays/atomics yield MISSING — those branches can never
+    produce a value at the path at all.
+    """
+    for step in steps:
+        nodes = [
+            candidate.children[step]
+            for node in nodes
+            for candidate in _expand_union(node)
+            if isinstance(candidate, ObjectNode) and step in candidate.children
+        ]
+    return nodes
+
+
 def _only_atomic_at(schema: Schema, steps: Tuple[str, ...]) -> bool:
     """True when no record of this component can hold an object/array at ``steps``."""
-    nodes: List[object] = [schema.root]
-    for step in steps:
-        descended: List[object] = []
-        for node in nodes:
-            for candidate in _expand_union(node):
-                if isinstance(candidate, ObjectNode):
-                    child = candidate.children.get(step)
-                    if child is not None:
-                        descended.append(child)
-                # Field steps applied to arrays/atomics yield MISSING — those
-                # branches can never produce a value at the path at all.
-        nodes = descended
-    finals = [final for node in nodes for final in _expand_union(node)]
+    finals = [
+        final for node in _descend([schema.root], steps) for final in _expand_union(node)
+    ]
     return all(isinstance(final, AtomicNode) for final in finals)
 
 
@@ -382,6 +578,7 @@ def schema_supports_direct(
     schema: Schema,
     paths: Sequence[FieldPath],
     unnest: Optional[UnnestBinding] = None,
+    runs: Sequence[ElementRuns] = (),
 ) -> bool:
     """Can every pruned path be served as a value vector straight off the columns?
 
@@ -403,10 +600,13 @@ def schema_supports_direct(
 
     The array of an ``unnest`` binding is exempt from the rules above and
     checked by :func:`unnest_columns` instead: the scan emits one row per
-    element, so its element paths are value vectors too.
+    element, so its element paths are value vectors too.  So are the paths
+    under an array of ``runs``, checked by :func:`run_columns`.
     """
     for path in paths:
         if unnest is not None and path == unnest.array:
+            continue
+        if any(run.covers(path) for run in runs):
             continue
         if path.array_depth > 0:
             return False
@@ -419,7 +619,9 @@ def schema_supports_direct(
                 return False
             if len(named) > len(steps):
                 return False
-    return unnest is None or unnest_columns(schema, unnest) is not None
+    if unnest is not None and unnest_columns(schema, unnest) is None:
+        return False
+    return all(run_columns(schema, run) is not None for run in runs)
 
 
 def unnest_columns(
@@ -480,6 +682,88 @@ def unnest_columns(
             resolved[element] = column
     anchor = min(under, key=lambda column: column.column_id, default=None)
     return anchor, resolved
+
+
+@dataclass
+class RunColumns:
+    """The columns behind one :class:`ElementRuns` in one component's schema.
+
+    ``anchor`` is the array's first-discovered (lowest-id) column, as for
+    :func:`unnest_columns`: it was created with the array, so it is never
+    back-filled over a record that has one, and its runs are the exact ones.
+    None means no record of the component has an array at the path.
+    ``tails`` maps each element sub-path the runs read to the atomic columns
+    that can hold its value (several: a union of atomic types; none: always
+    MISSING).  ``probes`` hold one column per branch of a union-typed element
+    when a quantifier needs exact element counts (see :func:`run_columns`).
+    """
+
+    anchor: Optional[ColumnInfo] = None
+    tails: Dict[FieldPath, List[ColumnInfo]] = dataclass_field(default_factory=dict)
+    probes: Tuple[ColumnInfo, ...] = ()
+
+    @property
+    def counted(self) -> Optional[ColumnInfo]:
+        """The column to take the runs from: one the scan reads anyway."""
+        for columns in self.tails.values():
+            if columns:
+                return columns[0]
+        return self.anchor
+
+
+def run_columns(schema: Schema, runs: ElementRuns) -> Optional[RunColumns]:
+    """Resolve element runs against one component's schema snapshot, or
+    None when serving them from the column streams would not be exact.
+
+    The array is found by following the path's field names through objects
+    (and the object branch of a union); a field holding an object or a
+    scalar in some records and an array in others is fine — those records
+    just have no array.  Below the array, every column of the element type
+    sits in exactly one entry per element (a union element type puts an
+    entry *at* the array's level into the branches an element does not
+    take), so the runs of any of them line up.  Exactness then asks for:
+
+    * an anchor under a single array (``array_count == 1``) — columns of
+      arrays nested deeper are never read, so they do not matter otherwise;
+    * element sub-paths that end in atomic columns (an object or array at a
+      tail is a value only assembly can build);
+    * for a quantifier over a union element type, one single-array column in
+      every branch: with those the scan tells ``[]`` from ``[x]`` where ``x``
+      takes another branch than the column it counts — both leave one entry
+      at the array's level.
+    """
+    arrays = [
+        candidate
+        for node in _descend([schema.root], runs.array.steps)
+        for candidate in _expand_union(node)
+        if isinstance(candidate, ArrayNode)
+    ]
+    if not arrays:
+        return RunColumns()
+    (array,) = arrays
+    under = schema.leaf_columns(array)
+    if not under or under[0].array_count != 1:
+        return None
+    tails: Dict[FieldPath, List[ColumnInfo]] = {}
+    for tail in runs.tails():
+        finals = [
+            final
+            for node in _descend([array.item], tail.steps)
+            for final in _expand_union(node)
+        ]
+        if not all(isinstance(final, AtomicNode) for final in finals):
+            return None
+        tails[tail] = sorted(
+            (final.column for final in finals), key=lambda column: column.column_id
+        )
+    probes: List[ColumnInfo] = []
+    if runs.quantifiers and isinstance(array.item, UnionNode):
+        for branch in array.item.branches.values():
+            leaves = schema.leaf_columns(branch)
+            if not leaves or leaves[0].array_count != 1:
+                return None
+            probes.append(leaves[0])
+    return RunColumns(under[0], tails, tuple(probes))
 
 
 class CompiledPredicate:

@@ -9,7 +9,7 @@ modelled: every count and timing a store reports is work it did on the host.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from ..encoding.compression import get_codec

@@ -20,7 +20,7 @@ from ..lsm.component import ALL_LAYOUTS
 from ..lsm.keys import stable_key_hash
 from ..lsm.scheduler import BackgroundScheduler
 from ..lsm.wal import LogManager, WALRecord
-from ..model.errors import DatasetError, StorageError
+from ..model.errors import DatasetError
 from ..storage.buffer_cache import BufferCache
 from ..storage.device import StorageDevice
 from . import manifest as manifest_io

@@ -352,11 +352,14 @@ def test_shell_connect_roundtrip(accounts_server):
     client.close()
 
 
+_RETIRED_TEXT = json.dumps({**RETIRED_CONFIG, "page_size": 8192})
+
+
 @pytest.mark.parametrize(
     "text, named",
     [
         ('{"bogus_field": 1}', ["bogus_field"]),
-        (json.dumps({**RETIRED_CONFIG, "page_size": 8192}), sorted(RETIRED_CONFIG)),
+        (_RETIRED_TEXT, sorted(RETIRED_CONFIG)),
         ("[1, 2]", ["expected a JSON object"]),
         ("{not json", ["not valid JSON"]),
         # Known fields whose values the engine would trip over later.
@@ -364,6 +367,9 @@ def test_shell_connect_roundtrip(accounts_server):
         ('{"partitions_per_node": 0}', ["partitions_per_node", "at least one partition"]),
         ('{"compression": "lz4"}', ["unknown compression codec 'lz4'"]),
     ],
+    # The retired keys' JSON grows whenever a field is retired: name that
+    # case, so that its test id stays put (the others keep their text).
+    ids=lambda value: "retired-config" if value == _RETIRED_TEXT else None,
 )
 def test_server_rejects_bad_config_json(capsys, monkeypatch, text, named):
     """A bad ``--config-json`` is a usage error naming the culprit, not a

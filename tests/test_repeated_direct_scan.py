@@ -16,8 +16,9 @@ in I/O, frozen memtables and random write interleavings are in
 ``test_direct_scan_overlay.py``.
 
 The last section checks the point of the exercise on the Figure 14 data: the
-sensors queries and ``wos_q2`` assemble nothing and read only the columns
-they name.
+sensors queries, ``wos_q2`` — and, served from element runs
+(``tests/test_element_runs.py``), ``wos_q3``, ``wos_q4`` and ``tweet1_q3`` —
+assemble nothing and read only the columns they name.
 """
 
 from __future__ import annotations
@@ -564,13 +565,30 @@ def test_plans_that_need_the_array_itself_keep_their_unnest(layout):
             assert scan.attrs["fallback_reason"] == "schema"
             (unnest,) = _find_spans(store.last_trace.root, "UnnestNode")
             assert "pushed" not in unnest.attrs
-        # An expression the direct path cannot evaluate keeps the whole plan
-        # (and its UNNEST, binding or not) on the reconciling scan.
+        # A quantifier over another array is decided from that array's
+        # element runs, beside the UNNEST the scan performs.
         text = (
             "SELECT COUNT(*) AS c FROM d AS s UNNEST s.readings AS r "
             'WHERE SOME g IN s.games SATISFIES g = "game1";'
         )
         assert "unnest=$r<-readings" in store.explain(text)
+        assert "runs=[games(some $g: [*])]" in store.explain(text)
+        oracle = store.query(text, executor="interpreted")
+        for executor in FAST:
+            assert store.query(text, executor=executor) == oracle
+            (scan,) = _find_spans(store.last_trace.root, "DataScanNode")
+            assert scan.attrs["scan_mode"] == "direct"
+            (unnest,) = _find_spans(store.last_trace.root, "UnnestNode")
+            assert unnest.attrs.get("pushed") is True
+        # An expression the direct path cannot evaluate — a quantifier whose
+        # body reads the record too — keeps the whole plan (and its UNNEST,
+        # binding or not) on the reconciling scan.
+        text = (
+            "SELECT COUNT(*) AS c FROM d AS s UNNEST s.readings AS r "
+            "WHERE SOME g IN s.games SATISFIES s.sensor_id = 1;"
+        )
+        assert "unnest=$r<-readings" in store.explain(text)
+        assert "runs=" not in store.explain(text)
         oracle = store.query(text, executor="interpreted")
         for executor in FAST:
             assert store.query(text, executor=executor) == oracle
@@ -626,7 +644,7 @@ def figure14_store():
     store = Datastore(
         StoreConfig(partitions_per_node=1, page_size=4096, memory_component_budget=4 << 20)
     )
-    for name, count in (("sensors", 1500), ("wos", 400)):
+    for name, count in (("sensors", 1500), ("wos", 400), ("tweet_1", 400)):
         dataset = store.create_dataset(name, layout="amax")
         dataset.insert_many(make_generator(name, count, seed=3).documents())
         dataset.flush_all()
@@ -635,6 +653,7 @@ def figure14_store():
 
 
 _WOS_SUBJECT = "static_data.fullrecord_metadata.category_info.subjects.subject"
+_WOS_ADDRESS = "static_data.fullrecord_metadata.addresses.address_name"
 
 #: query → the dotted column paths it names (array steps dropped).
 NAMED_COLUMNS = {
@@ -643,6 +662,18 @@ NAMED_COLUMNS = {
     "sensors_q3": {"sensor_id", "readings.temp"},
     "sensors_q4": {"sensor_id", "report_time", "readings.temp"},
     "wos_q2": {f"{_WOS_SUBJECT}.ascatype", f"{_WOS_SUBJECT}.value"},
+    # is_array and the country lists, off the array branch of the union.
+    "wos_q3": {f"{_WOS_ADDRESS}.address_spec.country"},
+    "wos_q4": {f"{_WOS_ADDRESS}.address_spec.country"},
+    "tweet1_q3": {"user.name", "entities.hashtags.text"},
+}
+
+#: query prefix → (dataset, the array its columns are pruned from, LIMIT key).
+_FIGURE14 = {
+    "sensors": ("sensors", "readings", "max_temp"),
+    "wos_q2": ("wos", _WOS_SUBJECT, "cnt"),
+    "wos": ("wos", _WOS_ADDRESS, "cnt"),
+    "tweet1": ("tweet_1", "entities.hashtags", "c"),
 }
 
 
@@ -662,7 +693,7 @@ def test_figure14_unnests_assemble_nothing_and_read_only_named_columns(
     from repro.core import assembly
 
     store = figure14_store
-    dataset = name.split("_")[0]
+    dataset, array, key = _FIGURE14.get(name) or _FIGURE14[name.split("_")[0]]
     text = SQLPP_QUERY_SUITES[dataset][name].format(dataset=dataset)
     # The oracle assembles the whole array subtree through the reconciling scan.
     oracle, reconciled_touches = _page_touches(store, text, "interpreted")
@@ -689,7 +720,6 @@ def test_figure14_unnests_assemble_nothing_and_read_only_named_columns(
 
     assert assembled == []
     if "LIMIT" in text:  # ties at the cut are order-free; compare the sort key
-        key = "max_temp" if dataset == "sensors" else "cnt"
         assert [row[key] for row in got] == [row[key] for row in oracle]
     else:
         assert got == oracle
@@ -703,7 +733,6 @@ def test_figure14_unnests_assemble_nothing_and_read_only_named_columns(
     # The device agrees: fewer page touches than assembling the subtree, and
     # the columns read own fewer pages than the array's columns together.
     assert 0 < direct_touches < reconciled_touches
-    array = "readings" if dataset == "sensors" else _WOS_SUBJECT
     for group, columns in read:
         subtree = [
             column

@@ -94,7 +94,8 @@ predicates=[report_time > 100, report_time < 900]
         """,
         """\
         SCAN tweets AS $t (fields=['entities', 'user'])
-          PUSHDOWN paths=[entities.hashtags, user.name]
+          PUSHDOWN paths=[entities.hashtags, user.name]; \
+runs=[entities.hashtags([*].text; some $ht: [text])]
         ASSIGN $tags <- Field(Var('t'), 'entities.hashtags[*].text')
         FILTER SomeSatisfies(Field(Var('t'), 'entities.hashtags'), 'ht', \
 Compare(Call('lowercase', Field(Var('ht'), 'text')) == Literal('jobs')))

@@ -7,8 +7,11 @@ workload the histogram of ``scan_mode`` / ``fallback_reason`` over the
 ``server:DataScanNode`` spans, and fails if a columnar workload's scan still
 reports a reason the direct scan no longer has: a live memtable
 (``memtable``) or overlapping components (``overlap``) are reconciled by key
-membership inside the direct scan, so either reason reappearing means a
-writer turns the column engine off again.
+membership inside the direct scan, and ``[*]`` paths, ``is_array`` and
+``SOME … SATISFIES`` over a union-typed field are served from element runs,
+so the benchmark's columnar statements have no ``plan`` or ``schema``
+fallback left either.  Any of the four reappearing means something turns the
+column engine off again.
 
 Usage::
 
@@ -28,7 +31,7 @@ from pathlib import Path
 #: The workloads on columnar layouts (``analytics_open`` is row-major: its
 #: scans fall back on ``layout`` by design and are only reported).
 COLUMNAR_WORKLOADS = ("mixed_serving", "ingest_feed", "analytics_amax")
-RETIRED_REASONS = ("memtable", "overlap")
+RETIRED_REASONS = ("memtable", "overlap", "plan", "schema")
 
 
 def scan_histogram(path: Path) -> Counter:
