@@ -37,10 +37,6 @@ class LoadResult:
     inferred_columns: int
     point_lookups: int = 0
 
-    @property
-    def storage_mb(self) -> float:
-        return self.storage_bytes / (1024 * 1024)
-
 
 @dataclass
 class QueryResult:

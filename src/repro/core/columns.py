@@ -20,14 +20,6 @@ from .schema import ColumnInfo
 Entry = Tuple[int, Optional[object], bool]
 
 
-def make_value_entry(definition_level: int, value=None) -> Entry:
-    return (definition_level, value, False)
-
-
-def make_delimiter_entry(definition_level: int) -> Entry:
-    return (definition_level, None, True)
-
-
 class ShreddedColumn:
     """Write-side buffer for one column of a batch of shredded records."""
 
@@ -59,15 +51,6 @@ class ShreddedColumn:
         """Append an end-of-array delimiter (§3.2.1)."""
         self.defs.append(definition_level)
 
-    def extend_backfill(self, record_count: int) -> None:
-        """Prepend implicit definition-level-0 entries for earlier records.
-
-        Used when a column is discovered mid-batch (§3.2.2: "we can write
-        NULLs in the newly inferred columns for all previous records").
-        """
-        if record_count:
-            self.defs[0:0] = [0] * record_count
-
     # -- statistics --------------------------------------------------------------
     @property
     def entry_count(self) -> int:
@@ -76,15 +59,6 @@ class ShreddedColumn:
     @property
     def value_count(self) -> int:
         return len(self.values)
-
-    def min_max_values(self) -> Tuple[Optional[object], Optional[object]]:
-        """Minimum and maximum present value (None when the column has no values)."""
-        if not self.values:
-            return None, None
-        try:
-            return min(self.values), max(self.values)
-        except TypeError:
-            return None, None
 
 
 class ColumnCursor:
@@ -182,14 +156,6 @@ class ColumnCursor:
         """
         for _ in range(count):
             self.next_record()
-
-    def remaining_records(self) -> int:
-        """Count the records left (consumes the cursor; used by tests/merges)."""
-        count = 0
-        while not self.exhausted:
-            self.next_record()
-            count += 1
-        return count
 
 
 def cursor_group(columns: Iterable[ColumnInfo], streams) -> List[ColumnCursor]:

@@ -422,27 +422,74 @@ class Schema:
         column is needed iff one of the requested paths is a field-name-wise
         prefix of the column's path (array steps and union-branch tags are
         ignored on both sides, so ``a.b`` covers ``a.[*].b``, ``a.<object>.b``
-        and everything beneath them).  Requested paths that reach *deeper*
-        than an atomic column select nothing from it — the document value
-        there is MISSING by construction.
+        and everything beneath them), or it fixes the shape of an array the
+        path crosses (:meth:`shape_columns`).  Without those, an array whose
+        elements hold none of the requested columns — or predate them —
+        would assemble as MISSING, or lose elements, instead of reading what
+        the whole document holds.
         """
         from ..model.path import FieldPath
 
         requested = [field_name_steps(FieldPath.of(path).steps) for path in paths]
-        wanted: List[ColumnInfo] = [self.pk_column]
+        wanted: Dict[int, ColumnInfo] = {self.PK_COLUMN_ID: self.pk_column}
         for column in self.columns:
             if column.is_primary_key:
                 continue
             stripped = field_name_steps(column.path)
             if any(stripped[: len(steps)] == steps for steps in requested):
-                wanted.append(column)
-        return wanted
+                wanted[column.column_id] = column
+        for steps in requested:
+            for array in self._arrays_crossed(steps):
+                for column in self.shape_columns(array):
+                    wanted[column.column_id] = column
+        return sorted(wanted.values(), key=lambda column: column.column_id)
 
-    def top_field_of_column(self, column: ColumnInfo) -> Optional[str]:
-        """The top-level field a column belongs to (None for the pk column)."""
-        if column.is_primary_key:
-            return None
-        return column.path[0]
+    def _arrays_crossed(self, steps: Tuple[str, ...]) -> List[ArrayNode]:
+        """The array nodes strictly above the nodes that field-name ``steps``
+        reach (arrays and unions are looked through, as by the prefix rule)."""
+        crossed: List[ArrayNode] = []
+        nodes: List[SchemaNode] = [self.root]
+        for step in steps:
+            objects: List[ObjectNode] = []
+            while nodes:
+                node = nodes.pop()
+                if isinstance(node, ObjectNode):
+                    objects.append(node)
+                elif not isinstance(node, AtomicNode):  # an array or a union
+                    if isinstance(node, ArrayNode):
+                        crossed.append(node)
+                    nodes.extend(node.iter_children())
+            nodes = [node.children[step] for node in objects if step in node.children]
+        return crossed
+
+    def shape_columns(self, array: ArrayNode) -> List[ColumnInfo]:
+        """The columns that fix the shape of ``array`` in every record: whether
+        the record has the array, and how many elements it holds (§3.2.2).
+
+        First the *anchor*, the array's lowest-id column: it was created with
+        the array node, so it is never back-filled over a record that has the
+        array (a column inferred mid-flush reads "no array" for the earlier
+        records of that flush).  Then, for a union element type, the lowest-id
+        column of every other branch: an element leaves one entry at the
+        array's level in the branches it does not take, as an empty array
+        does, so only a column of the branch it takes tells ``[x]`` from
+        ``[]``.  A column that lies under a further array brings that array's
+        shape columns too, since assembly rebuilds every array it holds a
+        column of.  Sorted by id, so the anchor comes first; empty when no
+        column lies under the array.
+        """
+        shape: Dict[int, ColumnInfo] = {}
+        pending = [array]
+        while pending:
+            node = pending.pop()
+            item = node.item
+            branches = item.branches.values() if isinstance(item, UnionNode) else ()
+            for subtree in (node, *branches):
+                leaves = self.leaf_columns(subtree)
+                if leaves and leaves[0].column_id not in shape:
+                    shape[leaves[0].column_id] = leaves[0]
+                    pending.extend(_arrays_between(node, leaves[0]))
+        return sorted(shape.values(), key=lambda column: column.column_id)
 
     # -- serialization -----------------------------------------------------------
     def to_dict(self) -> dict:
@@ -487,6 +534,21 @@ class Schema:
             for tag, branch in node.branches.items():
                 lines.append(f"{prefix}<{tag}>: {_describe_node(branch)}")
                 self._describe(branch, indent + 1, lines)
+
+
+def _arrays_between(top: SchemaNode, column: ColumnInfo) -> List[ArrayNode]:
+    """The array nodes strictly between ``top`` and ``column``'s leaf."""
+    stack = [(top, ())]
+    while stack:
+        node, arrays = stack.pop()
+        if isinstance(node, AtomicNode):
+            if node.column is column:
+                return list(arrays)
+            continue
+        if isinstance(node, ArrayNode) and node is not top:
+            arrays = arrays + (node,)
+        stack.extend((child, arrays) for child in node.iter_children())
+    return []
 
 
 def _describe_node(node: SchemaNode) -> str:

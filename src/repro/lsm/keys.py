@@ -49,11 +49,6 @@ def decode_key(data: bytes, offset: int) -> Tuple[object, int]:
     raise StorageError(f"unknown key tag {kind}")
 
 
-def key_sort_value(key):
-    """A sort key usable for both int and str primary keys within one dataset."""
-    return key
-
-
 def stable_key_hash(key) -> int:
     """A process-stable hash of a primary key (partition routing).
 

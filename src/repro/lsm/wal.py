@@ -349,13 +349,3 @@ class LogManager:
         """Checkpoint: drop every node log (callers flushed everything first)."""
         for log in self.logs.values():
             log.truncate()
-
-    # -- statistics ----------------------------------------------------------------
-    @property
-    def total_log_bytes(self) -> int:
-        """Bytes currently held in the backing log files (0 when unbacked)."""
-        return sum(
-            log.log_file.size_bytes
-            for log in self.logs.values()
-            if log.log_file is not None
-        )

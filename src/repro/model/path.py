@@ -82,10 +82,6 @@ class FieldPath:
         """Return a new path with one extra step appended."""
         return FieldPath(self.steps + (step,))
 
-    def array_element(self) -> "FieldPath":
-        """Return a new path addressing the elements of this (array) path."""
-        return self.child(ARRAY_STEP)
-
     def parent(self) -> "FieldPath":
         """Return the path with the last step removed."""
         return FieldPath(self.steps[:-1])

@@ -385,10 +385,6 @@ class MetricsRegistry:
             return 0.0
         return child.value
 
-    def family_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._families)
-
     # -- Prometheus text exposition ---------------------------------------------
     def render_text(self) -> str:
         """The registry in Prometheus text exposition format (version 0.0.4)."""

@@ -14,7 +14,7 @@ operator's output) stored column-wise:
 A batch from a columnar direct scan carries only path columns — no document
 is ever assembled — so materializing row dicts from it is a contract
 violation, guarded by :meth:`iter_rows`.  When that scan also performed the
-plan's pushed UNNEST (:class:`~repro.query.pushdown.UnnestBinding`), the batch
+plan's pushed UNNEST (:class:`~repro.query.pushdown.ElementRuns`), the batch
 is marked ``unnested``: its rows are array elements, the unnest variable is
 bound by its own (path) columns, and the executors skip the UNNEST operator
 for it — a row-backed batch of the same scan still runs it.  ``decided``

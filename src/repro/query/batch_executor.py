@@ -6,20 +6,20 @@ instead of rows.  The source comes in two flavours:
 * **direct** — for columnar components, each leaf group's pruned column
   streams are turned straight into per-record value vectors (no document is
   ever assembled), with the pushed predicates and the anti-matter flags
-  folded into one selection before the batch is even built.  When the plan's
-  only UNNEST walks a single-level array nothing else consumes
-  (:class:`~repro.query.pushdown.UnnestBinding`), the scan performs it too:
-  the array's definition levels give per-record element counts, the element
-  paths become per-*element* value vectors keyed by the unnest variable, and
-  the record vectors are fanned out by a row-index vector — such batches are
-  marked ``unnested`` and the pipeline skips the operator for them.  An
-  array read only through ``[*]`` paths, ``is_array`` or ``SOME …
-  SATISFIES`` (:class:`~repro.query.pushdown.ElementRuns`) is served from
-  the same delimiter rule: per-record lists, and the answers of those whole
-  expressions, handed over in the batch's ``decided`` vectors.
+  folded into one selection before the batch is even built.  An array the
+  plan reads only through ``[*]`` paths, ``is_array``, ``SOME … SATISFIES``
+  or its only UNNEST (:class:`~repro.query.pushdown.ElementRuns`) is served
+  from its element runs: the definition levels of the columns that fix the
+  array's shape (:meth:`~repro.core.schema.Schema.shape_columns`) give each
+  record's run of element entries, and one element-level selection — the
+  position of each element and the record it belongs to — answers them all:
+  per-record lists, the answers of those whole expressions (handed over in
+  the batch's ``decided`` vectors), and for the UNNEST per-*element* value
+  vectors keyed by the unnest variable, with the record vectors fanned out
+  to the elements — such batches are marked ``unnested`` and the pipeline
+  skips the operator for them.
   Direct scans are taken whenever every component is columnar with the
-  pruned paths flat — or, for the unnested array, singly repeated and
-  union-free, or, for element runs, resolvable — in its schema
+  pruned paths flat — or, for element runs, resolvable — in its schema
   (:func:`~repro.query.pushdown.schema_supports_direct`).  Newest-wins needs
   no merge: a component record is live iff it is not anti-matter and its key
   is in no *newer* source, so each component is scanned under a **shadow** —
@@ -98,7 +98,6 @@ from .pushdown import (
     quantifier_tails,
     run_columns,
     schema_supports_direct,
-    unnest_columns,
 )
 
 #: Expression types the direct (assembly-free) path can evaluate over path
@@ -254,17 +253,14 @@ def _direct_components(
     The direct scan reconciles by key membership (:class:`_Shadow`), so what
     is left to rule out is data the column streams cannot serve: ``layout``
     (a row-major component) or ``schema`` (a pruned path that is not flat —
-    or, for the unnested array, not singly repeated and union-free, or, for
-    element runs, not resolvable by :func:`~repro.query.pushdown.run_columns`
-    — in some component's schema).
+    or, for element runs, the unnested array among them, not resolvable by
+    :func:`~repro.query.pushdown.run_columns` — in some component's schema).
     """
     components: List[ColumnarComponent] = []
     for component in snapshot.components:
         if not isinstance(component, ColumnarComponent):
             return None, "layout"
-        if not schema_supports_direct(
-            component.schema, spec.paths, spec.unnest, spec.runs
-        ):
+        if not schema_supports_direct(component.schema, spec.paths, spec.runs):
             return None, "schema"
         metadata = component.metadata
         if metadata.record_count and metadata.min_key is not None:
@@ -420,40 +416,28 @@ def _component_batches(
     shadowed: List[int],
 ) -> Iterator[ColumnBatch]:
     """Assembly-free batches of one component, already unnested (and marked
-    so) when the spec carries an unnest binding.
+    so) when the spec's runs carry the plan's UNNEST.
 
-    Record paths become one value per record (:func:`_path_vector`); with a
-    binding, element paths become one value per array element
-    (:func:`_element_vector`) and the record paths are fanned out to the
-    elements by a row-index vector.  The spec's element runs add their list
-    paths and decided expressions as record vectors (:func:`_run_vectors`).
-    Pushed predicates, anti-matter, the ``shadows`` (key containers of newer
-    sources: a record found in one is superseded, and counted in
-    ``shadowed``) and the fan-out all end up in the same two selections —
-    ``rows`` into the record vectors, ``elements`` into the element vectors —
-    applied by one gather.  Min/max pruning skips a group whatever the
-    shadows say: the records it would hide are not being emitted, and the
-    group's own keys shadow older components through :class:`_Shadow`, not
-    through here.
+    Record paths become one value per record (:func:`_path_vector`).  The
+    spec's element runs add their list paths and decided expressions as
+    record vectors, and the UNNEST's element paths as element vectors
+    (:func:`_run_vectors`); the record vectors are then fanned out to the
+    elements by the record behind each.  Pushed predicates, anti-matter, the
+    ``shadows`` (key containers of newer sources: a record found in one is
+    superseded, and counted in ``shadowed``) and the fan-out all end up in
+    one selection, ``rows`` into the record vectors, applied by one gather.
+    Min/max pruning skips a group whatever the shadows say: the records it
+    would hide are not being emitted, and the group's own keys shadow older
+    components through :class:`_Shadow`, not through here.
     """
     schema = component.schema
     compiled = (
         compile_predicates(schema, spec.predicates) if spec.predicates else []
     )
     unnest = spec.unnest
-    anchor = counted = None
-    element_columns: Dict[FieldPath, Optional[object]] = {}
-    if unnest is not None:
-        anchor, element_columns = unnest_columns(schema, unnest)
-        if anchor is None:
-            return  # the array occurs in no record of this component
-        # Element counts come from a column the plan reads anyway when it
-        # reads one; the anchor is only fetched where that column is unsure.
-        counted = next(
-            (column for column in element_columns.values() if column is not None),
-            anchor,
-        )
     runs = [(run, run_columns(schema, run)) for run in spec.runs]
+    if any(run is unnest and columns.anchor is None for run, columns in runs):
+        return  # the unnested array occurs in no record of this component
     value_columns: Dict[FieldPath, list] = {
         path: [
             column
@@ -461,8 +445,7 @@ def _component_batches(
             if field_name_steps(column.path) == tuple(path.steps)
         ]
         for path in spec.paths
-        if (unnest is None or path != unnest.array)
-        and not any(run.covers(path) for run in spec.runs)
+        if not any(run.covers(path) for run in spec.runs)
     }
     pk_column = schema.pk_column
     needs_keys = any(
@@ -476,9 +459,6 @@ def _component_batches(
             needed[column.column_id] = column
     for columns in value_columns.values():
         for column in columns:
-            needed[column.column_id] = column
-    for column in (counted, *element_columns.values()):
-        if column is not None:
             needed[column.column_id] = column
     for _, columns in runs:
         if columns.anchor is not None:
@@ -539,58 +519,38 @@ def _component_batches(
                 if (passes is None or passes[index])
                 and (flags is None or not flags[index])
             ]
-        records = rows  # before the UNNEST fan-out below
-        # ``elements``: the element index behind each output row (None = all).
-        elements: Optional[List[int]] = None
-        counts: List[int] = []
-        if counted is not None:
-            counts, _, empty = _trusted_runs(counted, anchor, group, streams, antimatter)
-            for index in empty:  # a union-free array: the lone entry is ``[]``
-                counts[index] = 0
-            element_rows = [
-                index for index, count in enumerate(counts) for _ in range(count)
-            ]
-            if rows is not None:
-                keep = bytearray(record_count)
-                for index in rows:
-                    keep[index] = 1
-                elements = [
-                    position
-                    for position, index in enumerate(element_rows)
-                    if keep[index]
-                ]
-                rows = kernels.gather(element_rows, elements)
-            else:
-                rows = element_rows
-        output_count = record_count if rows is None else len(rows)
-        if not output_count:
+        if rows is not None and not rows:
             continue
-        columns_data: Dict[Tuple[str, FieldPath], list] = {}
-        for path, columns in value_columns.items():
-            vector = _path_vector(columns, streams, keys, record_count)
-            columns_data[(variable, path)] = (
-                vector if rows is None else kernels.gather(vector, rows)
-            )
+        records = rows  # before the UNNEST fan-out
+        vectors: Dict[Tuple[str, FieldPath], list] = {}  # one value per record
+        element_data: Dict[Tuple[str, FieldPath], list] = {}
+        variables_data: Dict[str, list] = {}
         decided: Dict[int, list] = {}
         for run, columns in runs:
-            lists, answers = _run_vectors(
+            lists, answers, fanout = _run_vectors(
                 run, columns, group, streams, antimatter, records, record_count
             )
             for path, vector in lists.items():
-                columns_data[(variable, path)] = (
-                    vector if rows is None else kernels.gather(vector, rows)
-                )
-            for key, vector in answers.items():
-                decided[key] = vector if rows is None else kernels.gather(vector, rows)
-        variables_data: Dict[str, list] = {}
-        for path, column in element_columns.items():
-            vector = _element_vector(column, streams, counts)
-            if elements is not None:
-                vector = kernels.gather(vector, elements)
-            if len(path) == 0:
-                variables_data[unnest.variable] = vector
-            else:
-                columns_data[(unnest.variable, path)] = vector
+                vectors[(variable, path)] = vector
+            decided.update(answers)
+            if fanout is not None:
+                rows, elements = fanout
+                for path, vector in elements.items():
+                    if len(path) == 0:
+                        variables_data[run.variable] = vector
+                    else:
+                        element_data[(run.variable, path)] = vector
+        output_count = record_count if rows is None else len(rows)
+        if not output_count:
+            continue
+        for path, columns in value_columns.items():
+            vectors[(variable, path)] = _path_vector(
+                columns, streams, keys, record_count
+            )
+        if rows is not None:
+            vectors = {key: kernels.gather(v, rows) for key, v in vectors.items()}
+            decided = {key: kernels.gather(v, rows) for key, v in decided.items()}
+        columns_data = {**vectors, **element_data}
         for start in range(0, output_count, batch_size):
             end = min(start + batch_size, output_count)
             yield ColumnBatch(
@@ -688,33 +648,25 @@ def _trusted_runs(counted, anchor, group, streams, antimatter):
     return runs
 
 
-def _element_vector(column, streams, counts: List[int], entries: bool = False) -> list:
-    """One value per array element for an element path (the repeated sibling
-    of :func:`_path_vector`); ``counts`` are the exact per-record counts.
-    With ``entries`` they are run lengths (:func:`_element_runs`) instead, and
-    the vector has one slot per run entry — MISSING for an empty array's."""
-    total = sum(counts)
-    if column is None:
-        return [MISSING] * total
+def _element_vector(column, streams, runs: List[int]) -> list:
+    """One value per run entry for an element path (the repeated sibling of
+    :func:`_path_vector`); ``runs`` are the exact run lengths
+    (:func:`_trusted_runs`), so an empty array's lone entry has a slot too."""
+    total = sum(runs)
     defs, values = streams[column.column_id]
     if column.type_tag != TYPE_NULL and len(values) == total:
-        return list(values)  # every element present: the value stream itself
-    array_level = column.outer_array_level
-    floor = array_level if entries else array_level + 1
-    element_defs = [level for level in defs if level >= floor]
+        return list(values)  # every entry holds a value: the value stream itself
+    element_defs = [level for level in defs if level >= column.outer_array_level]
     vector = [MISSING] * len(element_defs)
     _place_values(column, element_defs, values, vector)
     if len(vector) == total:
         return vector
     # The column was inferred mid-flush: its back-filled records read "no
     # array" where the anchor counted elements, and those elements lack it.
-    own, _, lone = _element_runs(defs, column)
-    if not entries:
-        for index in lone:
-            own[index] = 0
+    own = _element_runs(defs, column)[0]
     aligned: list = []
     position = 0
-    for count, length in zip(counts, own):
+    for count, length in zip(runs, own):
         if length == count:
             aligned.extend(vector[position:position + count])
         else:
@@ -724,25 +676,29 @@ def _element_vector(column, streams, counts: List[int], entries: bool = False) -
 
 
 def _run_vectors(run, columns, group, streams, antimatter, records, record_count):
-    """The record vectors one leaf group's element runs answer with: list
-    paths (``path -> vector``) and decided expressions (``id -> vector``).
+    """The vectors one leaf group's element runs answer with: list paths
+    (``path -> vector``) and decided expressions (``id -> vector``), one
+    value per record, and for the UNNEST the fan-out ``(owners, element path
+    -> vector)``: the record behind each element, and the element vectors.
 
     Only the entries of the selected ``records`` (None = all) matter.  A
     record's list is its run's values at the tail, MISSING ones dropped —
-    MISSING itself without an array; ``is_array`` is "has a run"; a
-    quantifier's body is evaluated once over the run entries of the selected
-    records (an element-level batch, MISSING kept so entries line up), and a
-    record is true if one of its elements gives True.  Empty arrays are
-    left out of that batch: their lone entry is no element.
+    MISSING itself without an array; ``is_array`` is "has a run".  The
+    elements of the selected records form one element-level selection
+    (``positions`` into the run entries, with their ``owners``); empty arrays
+    are left out of it — their lone entry is no element, which the probes
+    tell from a one-element array of another branch.  A quantifier's body is
+    evaluated once over that selection (MISSING kept so entries line up), and
+    a record is true if one of its elements gives True; the UNNEST emits it.
     """
     lists: Dict[FieldPath, list] = {}
     decided: Dict[int, list] = {}
     if columns.anchor is None:  # no record of the component has the array
         for tail in run.lists:
-            lists[run.list_path(tail)] = [MISSING] * record_count
+            lists[run.element_path(tail)] = [MISSING] * record_count
         for expression in run.checks + run.quantifiers:
             decided[id(expression)] = [False] * record_count
-        return lists, decided
+        return lists, decided, None
     runs, absent, lone = _trusted_runs(
         columns.counted, columns.anchor, group, streams, antimatter
     )
@@ -760,45 +716,55 @@ def _run_vectors(run, columns, group, streams, antimatter, records, record_count
     }
     for tail in run.lists:
         vector = vectors[tail]
-        lists[run.list_path(tail)] = [
+        lists[run.element_path(tail)] = [
             MISSING
             if missing[index]
             else [value for value in vector[start:stop] if value is not MISSING]
             for index, (start, stop) in enumerate(zip(offsets, offsets[1:]))
         ]
-    if run.quantifiers:
-        empty = set(lone)
-        for probe in columns.probes:
-            _, absent_there, lone_there = _element_runs(
-                streams[probe.column_id][0], probe
-            )
-            empty &= {*absent_there, *lone_there}
-        positions: List[int] = []
-        owners: List[int] = []
+    if not run.quantifiers and run.variable is None:
+        return lists, decided, None
+    empty = set(lone)
+    for probe in columns.probes:
+        _, absent_there, lone_there = _element_runs(streams[probe.column_id][0], probe)
+        empty &= {*absent_there, *lone_there}
+    positions: Optional[List[int]] = None  # None: every run entry, in order
+    if records is None and not empty:
+        owners = [index for index, length in enumerate(runs) for _ in range(length)]
+    else:
+        positions, owners = [], []
         for index in range(record_count) if records is None else records:
             length = runs[index]
             if length and index not in empty:
                 positions.extend(range(offsets[index], offsets[index] + length))
                 owners.extend([index] * length)
-        for quantifier in run.quantifiers:
-            item = quantifier.item_var
-            element_vars: Dict[str, list] = {}
-            element_paths: Dict[Tuple[str, FieldPath], list] = {}
-            for tail in quantifier_tails(quantifier):
-                vector = kernels.gather(vectors[tail], positions)
-                if len(tail):
-                    element_paths[(item, tail)] = vector
-                else:
-                    element_vars[item] = vector
-            verdicts = quantifier.predicate.evaluate_batch(
-                ColumnBatch(len(positions), element_vars, element_paths)
-            )
-            verdict = [False] * record_count
-            for owner, value in zip(owners, verdicts):
-                if value is True:
-                    verdict[owner] = True
-            decided[id(quantifier)] = verdict
-    return lists, decided
+    tails = list(run.elements)
+    for quantifier in run.quantifiers:
+        tails.extend(quantifier_tails(quantifier))
+    elements = {
+        tail: vectors[tail] if positions is None else kernels.gather(vectors[tail], positions)
+        for tail in dict.fromkeys(tails)
+    }
+    for quantifier in run.quantifiers:
+        item = quantifier.item_var
+        element_vars: Dict[str, list] = {}
+        element_paths: Dict[Tuple[str, FieldPath], list] = {}
+        for tail in quantifier_tails(quantifier):
+            if len(tail):
+                element_paths[(item, tail)] = elements[tail]
+            else:
+                element_vars[item] = elements[tail]
+        verdicts = quantifier.predicate.evaluate_batch(
+            ColumnBatch(len(owners), element_vars, element_paths)
+        )
+        verdict = [False] * record_count
+        for owner, value in zip(owners, verdicts):
+            if value is True:
+                verdict[owner] = True
+        decided[id(quantifier)] = verdict
+    if run.variable is None:
+        return lists, decided, None
+    return lists, decided, (owners, {tail: elements[tail] for tail in run.elements})
 
 
 def _tail_vector(columns, streams, runs: List[int]) -> list:
@@ -806,9 +772,9 @@ def _tail_vector(columns, streams, runs: List[int]) -> list:
     atomic columns of a union (an entry holds a value in one of them at most)."""
     if not columns:
         return [MISSING] * sum(runs)
-    vector = _element_vector(columns[0], streams, runs, entries=True)
+    vector = _element_vector(columns[0], streams, runs)
     for column in columns[1:]:
-        other = _element_vector(column, streams, runs, entries=True)
+        other = _element_vector(column, streams, runs)
         vector = [b if a is MISSING else a for a, b in zip(vector, other)]
     return vector
 

@@ -136,33 +136,12 @@ class ColumnPredicate:
         return f"{self.path} {self.op} {self.value!r}"
 
 
-@dataclass(frozen=True)
-class UnnestBinding:
-    """An UNNEST the direct scan can perform itself: ``$variable <- array``.
-
-    ``array`` is an array-free path on the scan variable that the plan
-    consumes *only* through its single UNNEST operator; ``elements`` are the
-    sub-paths dereferenced on the unnest variable (``temp`` for ``r.temp``).
-    The empty path stands for the element itself (a bare ``Var`` use, as in
-    Figure 11's array of scalars), and no element path at all means the plan
-    needs nothing but the array's cardinality (``COUNT(*)``).
-    """
-
-    variable: str
-    array: FieldPath
-    elements: Tuple[FieldPath, ...] = ()
-
-    def element_path(self, element: FieldPath) -> FieldPath:
-        """The element sub-path spelled from the scan variable: ``readings[*].temp``."""
-        return FieldPath(self.array.steps + (ARRAY_PATH_STEP,) + element.steps)
-
-
 @dataclass(frozen=True, eq=False)
 class ElementRuns:
     """An array the direct scan serves from its element runs: ``$v.array``.
 
     ``array`` is an array-free path on the scan variable that the plan reads
-    only in three ways, each answered from the definition levels of the
+    only in the ways below, each answered from the definition levels of the
     array's element columns without assembling anything:
 
     * ``lists`` — the tails of ``Field($v, array[*].tail)``: a record's value
@@ -172,7 +151,14 @@ class ElementRuns:
       array;
     * ``quantifiers`` — ``SOME x IN $v.array SATISFIES p(x)``, where ``p``
       reads nothing but ``x``, through array-free sub-paths: decided by
-      evaluating ``p`` once over the elements.
+      evaluating ``p`` once over the elements;
+    * the plan's only UNNEST, when ``variable`` is set (see
+      :func:`_unnest_binding`; then nothing else reads the array): one row
+      per element, bound to ``variable``.  ``elements`` are the sub-paths
+      dereferenced on it (``temp`` for ``r.temp``), served as per-element
+      vectors.  The empty path stands for the element itself (a bare ``Var``
+      use, as in Figure 11's array of scalars); no element path at all means
+      the plan needs nothing but the array's cardinality (``COUNT(*)``).
 
     The reconciling scan never sees this refinement; ``paths`` still lists
     the array (or its wildcard paths) for partial assembly.
@@ -182,9 +168,11 @@ class ElementRuns:
     lists: Tuple[FieldPath, ...] = ()
     checks: Tuple[Expression, ...] = ()
     quantifiers: Tuple[SomeSatisfies, ...] = ()
+    variable: Optional[str] = None
+    elements: Tuple[FieldPath, ...] = ()
 
-    def list_path(self, tail: FieldPath) -> FieldPath:
-        """A list tail spelled from the scan variable: ``tags[*].text``."""
+    def element_path(self, tail: FieldPath) -> FieldPath:
+        """An element sub-path spelled from the scan variable: ``tags[*].text``."""
         return FieldPath(self.array.steps + (ARRAY_PATH_STEP,) + tail.steps)
 
     def covers(self, path: FieldPath) -> bool:
@@ -197,9 +185,16 @@ class ElementRuns:
         tails = list(self.lists)
         for quantifier in self.quantifiers:
             tails.extend(quantifier_tails(quantifier))
+        tails.extend(self.elements)
         return list(dict.fromkeys(tails))
 
     def describe(self) -> str:
+        if self.variable is not None:
+            parts = [f"unnest=${self.variable}<-{self.array}"]
+            if self.elements:
+                paths = ", ".join(str(self.element_path(e)) for e in self.elements)
+                parts.append(f"elements=[{paths}]")
+            return "; ".join(parts)
         parts = ["is_array"] if self.checks else []
         parts.extend(
             str(FieldPath((ARRAY_PATH_STEP,) + tail.steps)) for tail in self.lists
@@ -229,19 +224,21 @@ class PushdownSpec:
     for partial assembly); ``paths`` refines it to the exact column paths the
     plan references (None = no refinement, read everything under ``fields``);
     ``predicates`` are pre-filters evaluated on column batches before assembly.
-    ``unnest`` refines an array path of ``paths`` further, for the direct scan
-    only: the element sub-paths the plan actually reads (the reconciling scan
-    keeps assembling the whole array — partial assembly of a heterogeneous
-    array from a pruned column set is not exact).  ``runs`` are the same kind
-    of direct-only refinement for arrays read through wildcard paths,
-    ``is_array`` or ``SOME … SATISFIES`` (:class:`ElementRuns`).
+    ``runs`` refine the arrays of ``paths`` further, for the direct scan only:
+    arrays read through wildcard paths, ``is_array``, ``SOME … SATISFIES`` or
+    the plan's only UNNEST, served from their element runs
+    (:class:`ElementRuns`).
     """
 
     fields: Optional[List[str]] = None
     paths: Optional[List[FieldPath]] = None
     predicates: List[ColumnPredicate] = dataclass_field(default_factory=list)
-    unnest: Optional[UnnestBinding] = None
     runs: Tuple[ElementRuns, ...] = ()
+
+    @property
+    def unnest(self) -> Optional[ElementRuns]:
+        """The runs of the UNNEST the direct scan performs itself, if any."""
+        return next((run for run in self.runs if run.variable is not None), None)
 
     def describe(self) -> str:
         parts = []
@@ -252,16 +249,10 @@ class PushdownSpec:
                 "predicates=[" + ", ".join(repr(p) for p in self.predicates) + "]"
             )
         if self.unnest is not None:
-            unnest = self.unnest
-            parts.append(f"unnest=${unnest.variable}<-{unnest.array}")
-            if unnest.elements:
-                parts.append(
-                    "elements=["
-                    + ", ".join(str(unnest.element_path(e)) for e in unnest.elements)
-                    + "]"
-                )
-        if self.runs:
-            parts.append("runs=[" + ", ".join(run.describe() for run in self.runs) + "]")
+            parts.append(self.unnest.describe())
+        served = [run.describe() for run in self.runs if run.variable is None]
+        if served:
+            parts.append("runs=[" + ", ".join(served) + "]")
         return "; ".join(parts) if parts else "none"
 
 
@@ -281,14 +272,19 @@ def attach_pushdown(plan: QueryPlan, prune_paths: bool = True) -> QueryPlan:
     if not isinstance(source, DataScanNode):
         return plan
     paths: Optional[List[FieldPath]] = None
+    runs: Tuple[ElementRuns, ...] = ()
     if prune_paths and source.fields is not None:
         paths = _pruned_paths(plan, source.variable)
+    if paths is not None:
+        unnest = _unnest_binding(plan, source.variable)
+        runs = (() if unnest is None else (unnest,)) + _element_runs(
+            plan, source.variable
+        )
     source.pushdown = PushdownSpec(
         fields=source.fields,
         paths=paths,
         predicates=_extract_predicates(plan, source.variable),
-        unnest=None if paths is None else _unnest_binding(plan, source.variable),
-        runs=() if paths is None else _element_runs(plan, source.variable),
+        runs=runs,
     )
     return plan
 
@@ -316,8 +312,9 @@ def _pruned_paths(plan: QueryPlan, variable: str) -> Optional[List[FieldPath]]:
     return minimal
 
 
-def _unnest_binding(plan: QueryPlan, variable: str) -> Optional[UnnestBinding]:
-    """The UNNEST a direct scan may absorb, or None.
+def _unnest_binding(plan: QueryPlan, variable: str) -> Optional[ElementRuns]:
+    """The UNNEST a direct scan may absorb (as :class:`ElementRuns` with a
+    ``variable``), or None.
 
     Exactly one UNNEST, over an array-free path of the scan variable that no
     other expression touches (not even by prefix: ``array_count(s.readings)``
@@ -375,7 +372,7 @@ def _unnest_binding(plan: QueryPlan, variable: str) -> Optional[UnnestBinding]:
         # The element is consumed as a value; field accesses on it resolve
         # against that value (MISSING for the scalars the scan can serve).
         elements = [FieldPath(())]
-    return UnnestBinding(unnest.variable, array, tuple(elements))
+    return ElementRuns(array, variable=unnest.variable, elements=tuple(elements))
 
 
 def _element_runs(plan: QueryPlan, variable: str) -> Tuple[ElementRuns, ...]:
@@ -575,10 +572,7 @@ def _only_atomic_at(schema: Schema, steps: Tuple[str, ...]) -> bool:
 
 
 def schema_supports_direct(
-    schema: Schema,
-    paths: Sequence[FieldPath],
-    unnest: Optional[UnnestBinding] = None,
-    runs: Sequence[ElementRuns] = (),
+    schema: Schema, paths: Sequence[FieldPath], runs: Sequence[ElementRuns] = ()
 ) -> bool:
     """Can every pruned path be served as a value vector straight off the columns?
 
@@ -598,14 +592,11 @@ def schema_supports_direct(
     (several atomic columns sharing the path) are fine too: at most one
     branch is present per record.
 
-    The array of an ``unnest`` binding is exempt from the rules above and
-    checked by :func:`unnest_columns` instead: the scan emits one row per
-    element, so its element paths are value vectors too.  So are the paths
-    under an array of ``runs``, checked by :func:`run_columns`.
+    The paths under an array of ``runs`` — the unnested array among them —
+    are exempt from the rules above and checked by :func:`run_columns`
+    instead.
     """
     for path in paths:
-        if unnest is not None and path == unnest.array:
-            continue
         if any(run.covers(path) for run in runs):
             continue
         if path.array_depth > 0:
@@ -619,83 +610,21 @@ def schema_supports_direct(
                 return False
             if len(named) > len(steps):
                 return False
-    if unnest is not None and unnest_columns(schema, unnest) is None:
-        return False
     return all(run_columns(schema, run) is not None for run in runs)
-
-
-def unnest_columns(
-    schema: Schema, unnest: UnnestBinding
-) -> Optional[Tuple[Optional[ColumnInfo], Dict[FieldPath, Optional[ColumnInfo]]]]:
-    """Resolve an unnest binding against one component's schema snapshot.
-
-    Returns ``(anchor, element path -> column)``, or None when scanning the
-    array without assembly would not be exact here.  It is exact when every
-    column under the array path
-
-    * sits below exactly one array — the unnested one (``array_count == 1``
-      with the ``[*]`` step right after the array path; a scalar at the path
-      or an array nested below it disqualify), and
-    * crosses no union, at, above or under the array node (a scalar-or-array
-      field, null or mixed-type elements).
-
-    Every such column then carries one entry per element, so the element
-    paths line up row for row.  An element path may match one atomic column
-    or none (always MISSING); a column *extending* it means the value is an
-    object, which only assembly can build.
-
-    The ``anchor`` is the column whose per-record element counts are always
-    exact: the array's first-discovered (lowest-id) column, the only one that
-    can never have been back-filled over a record whose array had elements —
-    a column inferred mid-flush reads "no array" for the earlier records of
-    that flush (§3.2.2).  The scan counts off a column it reads anyway and
-    consults the anchor only for groups where that column shows a record
-    without the array.  None means the array never occurs in this component,
-    so the UNNEST yields nothing.
-    """
-    array_steps = unnest.array.steps
-    depth = len(array_steps)
-    under = [
-        column
-        for column in schema.columns
-        if field_name_steps(column.path)[:depth] == array_steps
-    ]
-    for column in under:
-        if (
-            column.array_count != 1
-            or len(column.path) <= depth
-            or column.path[:depth] != array_steps
-            or column.path[depth] != ARRAY_PATH_STEP
-            or field_name_steps(column.path[depth + 1:]) != column.path[depth + 1:]
-        ):
-            return None
-    resolved: Dict[FieldPath, Optional[ColumnInfo]] = {}
-    for element in unnest.elements:
-        tail = element.steps
-        resolved[element] = None
-        for column in under:
-            below = column.path[depth + 1:]
-            if below[: len(tail)] != tail:
-                continue
-            if len(below) > len(tail):
-                return None
-            resolved[element] = column
-    anchor = min(under, key=lambda column: column.column_id, default=None)
-    return anchor, resolved
 
 
 @dataclass
 class RunColumns:
     """The columns behind one :class:`ElementRuns` in one component's schema.
 
-    ``anchor`` is the array's first-discovered (lowest-id) column, as for
-    :func:`unnest_columns`: it was created with the array, so it is never
-    back-filled over a record that has one, and its runs are the exact ones.
-    None means no record of the component has an array at the path.
-    ``tails`` maps each element sub-path the runs read to the atomic columns
-    that can hold its value (several: a union of atomic types; none: always
-    MISSING).  ``probes`` hold one column per branch of a union-typed element
-    when a quantifier needs exact element counts (see :func:`run_columns`).
+    ``anchor`` is the array's first :meth:`~repro.core.schema.Schema.shape_columns`
+    entry: created with the array, it is never back-filled over a record that
+    has one, so its runs are the exact ones.  None means no record of the
+    component has an array at the path.  ``tails`` maps each element sub-path
+    the runs read to the atomic columns that can hold its value (several: a
+    union of atomic types; none: always MISSING).  ``probes`` are the other
+    shape columns, one per branch of a union element type, when a quantifier
+    or the UNNEST needs exact element counts (see :func:`run_columns`).
     """
 
     anchor: Optional[ColumnInfo] = None
@@ -727,10 +656,10 @@ def run_columns(schema: Schema, runs: ElementRuns) -> Optional[RunColumns]:
       arrays nested deeper are never read, so they do not matter otherwise;
     * element sub-paths that end in atomic columns (an object or array at a
       tail is a value only assembly can build);
-    * for a quantifier over a union element type, one single-array column in
-      every branch: with those the scan tells ``[]`` from ``[x]`` where ``x``
-      takes another branch than the column it counts — both leave one entry
-      at the array's level.
+    * for a quantifier or an UNNEST, single-array shape columns throughout:
+      with the probes of a union element type the scan tells ``[]`` from
+      ``[x]`` where ``x`` takes another branch than the column it counts —
+      both leave one entry at the array's level.
     """
     arrays = [
         candidate
@@ -741,8 +670,8 @@ def run_columns(schema: Schema, runs: ElementRuns) -> Optional[RunColumns]:
     if not arrays:
         return RunColumns()
     (array,) = arrays
-    under = schema.leaf_columns(array)
-    if not under or under[0].array_count != 1:
+    shape = schema.shape_columns(array)
+    if not shape or shape[0].array_count != 1:
         return None
     tails: Dict[FieldPath, List[ColumnInfo]] = {}
     for tail in runs.tails():
@@ -756,14 +685,12 @@ def run_columns(schema: Schema, runs: ElementRuns) -> Optional[RunColumns]:
         tails[tail] = sorted(
             (final.column for final in finals), key=lambda column: column.column_id
         )
-    probes: List[ColumnInfo] = []
-    if runs.quantifiers and isinstance(array.item, UnionNode):
-        for branch in array.item.branches.values():
-            leaves = schema.leaf_columns(branch)
-            if not leaves or leaves[0].array_count != 1:
-                return None
-            probes.append(leaves[0])
-    return RunColumns(under[0], tails, tuple(probes))
+    probes: Tuple[ColumnInfo, ...] = ()
+    if runs.quantifiers or runs.variable is not None:
+        if any(column.array_count != 1 for column in shape):
+            return None
+        probes = tuple(shape[1:])
+    return RunColumns(shape[0], tails, probes)
 
 
 class CompiledPredicate:

@@ -413,20 +413,6 @@ class StorageDevice:
         for log_file in log_files:
             log_file.close()
 
-    @property
-    def total_size_bytes(self) -> int:
-        with self._lock:
-            return sum(handle.size_bytes for handle in self._files.values())
-
-    @property
-    def total_payload_bytes(self) -> int:
-        with self._lock:
-            return sum(handle.payload_bytes for handle in self._files.values())
-
-    def list_files(self) -> List[str]:
-        with self._lock:
-            return sorted(self._files)
-
     def list_disk_component_names(self) -> List[str]:
         """Names of component files present in the backing directory."""
         if self.directory is None:

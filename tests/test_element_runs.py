@@ -77,18 +77,11 @@ def _canonical(rows):
 
 
 def check(store, queries, mode="direct", reason=None, overlay=None, shadowed=None):
-    """Every query agrees with the oracle, having taken the expected scan.
-
-    A direct scan is held to whole documents (the oracle without pushdown):
-    the reconciling scan's partial assembly of ``a[*].v`` is not exact for
-    these shapes — it reads MISSING for an array whose elements predate the
-    columns it names, such as one first seen empty.  A fallback is held to
-    the oracle over that same reconciling scan.
-    """
+    """Every query agrees with the oracle (the interpreted executor with
+    pushdown, whose reconciling scan assembles only the pruned paths' columns),
+    having taken the expected scan."""
     for text in queries:
-        oracle = _canonical(
-            store.query(text, executor="interpreted", pushdown=mode != "direct")
-        )
+        oracle = _canonical(store.query(text, executor="interpreted"))
         for executor in FAST:
             assert _canonical(store.query(text, executor=executor)) == oracle, text
             (scan,) = _spans(store.last_trace.root, "DataScanNode")
@@ -199,19 +192,12 @@ def test_stacked_components_and_memtable_scan_direct(stacked):
     assert scan.attrs["shadowed_rows"] > 0
 
 
-#: Documents without scalar elements among objects: the reconciling scan's
-#: partial assembly of a ``[*]`` path raises on those (``SchemaError``:
-#: "array element assembled to MISSING"), so the fallbacks are checked
-#: without them.
-FALLBACK_KEYS = [key for key in range(40) if key % 12 < 10 and (key + 5) % 12 < 10]
-
-
 @pytest.mark.parametrize("layout", COLUMNAR)
 def test_record_paths_beside_the_runs_still_decide_the_gate(layout):
     """The runs serve only what they can: an object at a tail, a second
     wildcard, the array consumed whole, or a quantifier that reads the record
     keep the reconciling scan — with the oracle's answers."""
-    store = build(layout, [([document(key) for key in FALLBACK_KEYS], ())])
+    store = build(layout, [([document(key) for key in range(40)], ())])
     try:
         check(
             store,
@@ -238,7 +224,7 @@ def test_array_under_an_array_first_seen_nested_falls_back(layout):
     # The array's first column sits under a second array: its runs are not
     # one entry per element, so nothing is served from them.
     documents = [document(1, p=[{"deep": [1], "v": 1}])] + [
-        document(key) for key in FALLBACK_KEYS if key > 1
+        document(key) for key in range(2, 40)
     ]
     store = build(layout, [(documents, ())])
     try:
